@@ -92,12 +92,28 @@ def build_upb(name: str, theta=None, n=None, m=None, t=None, p=None):
     raise UsageError(f"unknown UPB {name!r}; choose from {UPB_NAMES}")
 
 
+def _read_input(path: str, from_json):
+    """Object decoded by from_json from a JSON input file; a file that cannot
+    be read, is not JSON or lacks the expected fields is a usage error."""
+    try:
+        with open(path) as fh:
+            doc = jsonio.loads(fh.read())
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}") from None
+    except ValueError as e:
+        raise UsageError(f"{path} is not valid JSON: {e}") from None
+    try:
+        return from_json(doc)
+    except (KeyError, TypeError, ValueError) as e:
+        raise UsageError(f"{path} does not hold the expected object: "
+                         f"{e!r}") from None
+
+
 def _upb_from_token(token: str):
     """name[:params] or a JSON file path; used by equiv."""
     import os
     if os.path.exists(token) or token.endswith(".json"):
-        with open(token) as fh:
-            return upb.ProductSet.from_json(jsonio.loads(fh.read()))
+        return _read_input(token, upb.ProductSet.from_json)
     name, _, params = token.partition(":")
     args = [x for x in params.split(",") if x] if params else []
     kw = {}
@@ -118,8 +134,7 @@ def _upb_from_token(token: str):
 
 def _family_from_args(a):
     if a.infile:
-        with open(a.infile) as fh:
-            return families.VectorFamily.from_json(jsonio.loads(fh.read()))
+        return _read_input(a.infile, families.VectorFamily.from_json)
     if not a.name:
         raise UsageError("give a family name or --in FILE")
     return build_family(a.name, a.theta, a.n, a.m, a.t, a.p)
@@ -127,8 +142,7 @@ def _family_from_args(a):
 
 def _upb_from_args(a):
     if a.infile:
-        with open(a.infile) as fh:
-            return upb.ProductSet.from_json(jsonio.loads(fh.read()))
+        return _read_input(a.infile, upb.ProductSet.from_json)
     if not a.name:
         raise UsageError("give a UPB name or --in FILE")
     return build_upb(a.name, a.theta, a.n, a.m, a.t, a.p)
@@ -137,6 +151,8 @@ def _upb_from_args(a):
 def _tolerances(a) -> Tolerances:
     if a.tol is None:
         return Tolerances()
+    if not a.tol > 0:
+        raise UsageError("--tol must be positive")
     return Tolerances(orth_tol=a.tol, rank_tol=a.tol, psd_tol=a.tol)
 
 
@@ -171,10 +187,9 @@ def cmd_graph(a):
 def cmd_verify(a):
     ps = _upb_from_args(a)
     verdict = _verify(ps, a.method, _tolerances(a))
-    _, colored = upb.party_graphs(ps, _tolerances(a))
     out = verdict.to_json()
     out["minimal"] = upb.is_minimal(ps)
-    out["colored_graph"] = colored.to_json()
+    out["colored_graph"] = verdict.colored_graph.to_json()
     return out, ("verdict", verdict)
 
 
@@ -202,8 +217,7 @@ def _require(v, flag):
 
 def _graph_from_args(a):
     if a.infile:
-        with open(a.infile) as fh:
-            return graphs.Graph.from_json(jsonio.loads(fh.read()))
+        return _read_input(a.infile, graphs.Graph.from_json)
     if a.family == "cycle":
         return graphs.cycle(_require(a.n, "--n"))
     if a.family == "paley":
@@ -223,6 +237,8 @@ def cmd_bes(a):
     ps = _upb_from_args(a)
     verdict = _verify(ps, a.method, tol)
     rho = upb.bound_entangled_state(ps, verdict)
+    if len(rho.party_dims) != 2:
+        raise UsageError("bes needs a bipartite UPB")
     pt = partial_transpose(rho.matrix, rho.party_dims, 1)
     min_pt = float(hermitian_eig(pt)[0][0])
     overlaps = np.abs(np.einsum('kd,de,ke->k', ps.full_vectors().conj(),
@@ -233,14 +249,20 @@ def cmd_bes(a):
         "rank": rho.rank(tol),
         "trace": float(np.trace(rho.matrix).real),
         "min_pt_eigenvalue": min_pt,
-        "ppt": upb.is_ppt(rho, 1, tol),
+        "ppt": min_pt >= -tol.psd_tol,
         "max_member_overlap": float(np.max(overlaps)),
         "matrix": rho.to_json()["matrix"],
     }
     return out, ("bes", out)
 
 
+def _require_restarts(a):
+    if a.restarts < 1:
+        raise UsageError("--restarts must be at least 1")
+
+
 def cmd_lee(a):
+    _require_restarts(a)
     tol = _tolerances(a)
     ps = _upb_from_args(a)
     verdict = _verify(ps, a.method, tol)
@@ -262,6 +284,7 @@ def cmd_equiv(a):
 
 
 def cmd_table1(a):
+    _require_restarts(a)
     res = entanglement.table1(seed=a.seed, restarts=a.restarts,
                               L=a.L if a.L else 16)
     return res, ("table1", res)

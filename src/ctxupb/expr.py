@@ -1,6 +1,7 @@
 """Minimal arithmetic grammar for angle arguments: numbers, pi, + - * /,
-and parentheses, parsed by recursive descent. No eval, no names other than
-pi."""
+parentheses and the functions sqrt(...) and acos(...), parsed by recursive
+descent. No eval, no names other than pi, sqrt and acos; an argument outside
+a function's domain raises ExprError."""
 
 from __future__ import annotations
 
@@ -9,6 +10,9 @@ import math
 
 class ExprError(ValueError):
     pass
+
+
+_FUNCTIONS = {"sqrt": math.sqrt, "acos": math.acos}
 
 
 def parse_angle(text: str) -> float:
@@ -75,12 +79,24 @@ class _Parser:
         if self.text.startswith("pi", self.pos):
             self.pos += 2
             return math.pi
+        for name, fn in _FUNCTIONS.items():
+            if self.text.startswith(name, self.pos):
+                self.pos += len(name)
+                if self.peek() != "(":
+                    raise ExprError(f"expected '(' after {name}")
+                arg = self.atom()
+                try:
+                    return fn(arg)
+                except ValueError:
+                    raise ExprError(
+                        f"{name}({arg!r}) is outside its domain") from None
         start = self.pos
         while self.pos < len(self.text) and (self.text[self.pos].isdigit()
                                              or self.text[self.pos] == "."):
             self.pos += 1
         if self.pos == start:
-            raise ExprError(f"expected number, pi or '(' at {start}")
+            raise ExprError(f"expected number, pi, sqrt, acos or '(' "
+                            f"at {start}")
         # implicit multiplication like 3pi
         val = float(self.text[start:self.pos])
         if self.text.startswith("pi", self.pos):

@@ -46,10 +46,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def is_unit(v, tol: float = 1e-9) -> bool:
-    return abs(np.linalg.norm(as_vector(v)) - 1.0) <= tol
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; also accepts 1-D vectors."""
     a = np.asarray(a, dtype=complex)

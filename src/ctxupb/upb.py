@@ -8,14 +8,18 @@ Verification follows the two graph-theoretic conditions for unextendibility:
 local factors short of spanning that party's space. The exact verifier
 enumerates assignments depth-first in lexicographic order with saturation
 pruning; the certificate verifier bounds the maximum size of a non-spanning
-subset per party.
+subset per party. That bound scans every (d-1)-subset of a party's factors
+with numpy, a chunk of subsets at a time: each chunk is orthonormalized and
+projected in a few batched array operations, and its size is set from k*d so
+that each (chunk, k, d) complex temporary holds about 4096 elements (one
+subset per chunk once k*d alone is larger).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +28,8 @@ from .errors import (BadPrime, BudgetExceeded, DimensionMismatch,
                      SizeMismatch)
 from .families import (VectorFamily, gen_kcbs, loor_cycle_complement,
                        one_param_family, quadres_local)
-from .graphs import (colored_equivalence, edge_colored_graph, graph,
-                     is_prime, smallest_nonresidue)
+from .graphs import (EdgeColoredGraph, colored_equivalence,
+                     edge_colored_graph, graph, is_prime, smallest_nonresidue)
 from .linalg import (DEFAULT_TOL, Tolerances, as_vector, hermitian_eig,
                      kron_all, partial_transpose)
 
@@ -100,6 +104,10 @@ class UpbVerdict:
     condition1: bool
     witness: tuple | None = None       # product factors of the extension
     certificate: tuple | None = None   # per-party max non-spanning sizes
+    # edge-colored orthogonality graph built by the condition-1 check; not
+    # part of the verdict's JSON
+    colored_graph: EdgeColoredGraph | None = field(default=None, repr=False,
+                                                   compare=False)
 
     def to_json(self) -> dict:
         out = {"status": self.status, "condition1": self.condition1}
@@ -214,14 +222,14 @@ def party_graphs(ps: ProductSet, tol: Tolerances = DEFAULT_TOL):
 def _check_condition1(ps: ProductSet, tol: Tolerances):
     """Every pair must be orthogonal in at least one party; returns the
     colored graph, raising with the first offending pair otherwise."""
-    graphs, colored = party_graphs(ps, tol)
+    _, colored = party_graphs(ps, tol)
     for i in range(ps.k):
         for j in range(i + 1, ps.k):
             if colored.colorset(i, j) is None:
                 raise NotOrthogonalSet(
                     "pair orthogonal in no party (condition 1 fails)",
                     condition=1, pair=[i, j])
-    return graphs, colored
+    return colored
 
 
 class _PartySpan:
@@ -305,7 +313,7 @@ def verify_upb_exact(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdic
     some pair is orthogonal in no party (checked before the budget, since
     the pair scan is quadratic), BudgetExceeded above the budget.
     """
-    _check_condition1(ps, tol)
+    colored = _check_condition1(ps, tol)
     if ps.n_parties ** ps.k > ASSIGNMENT_BUDGET:
         raise BudgetExceeded("assignment enumeration over budget",
                              parties=ps.n_parties, k=ps.k,
@@ -313,52 +321,70 @@ def verify_upb_exact(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdic
     witness = _find_extension(ps, tol)
     if witness is not None:
         return UpbVerdict(STATUS_EXTENDIBLE, True,
-                          witness=_validated_witness(ps, witness, tol))
+                          witness=_validated_witness(ps, witness, tol),
+                          colored_graph=colored)
     if ps.k >= ps.total_dim:
-        return UpbVerdict(STATUS_COMPLETE, True)
-    return UpbVerdict(STATUS_UPB, True)
+        return UpbVerdict(STATUS_COMPLETE, True, colored_graph=colored)
+    return UpbVerdict(STATUS_UPB, True, colored_graph=colored)
 
 
 def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
     """Largest number of the given vectors lying inside a common proper
     subspace; exact because any non-spanning subset sits inside the span of
-    at most dim-1 of its own members."""
+    at most dim-1 of its own members.
+
+    Scans every (dim-1)-subset (all k vectors when k < dim) in lexicographic
+    chunks. Each chunk is orthonormalized at once by modified Gram-Schmidt in
+    subset order, dropping residuals of norm <= rank_tol; then all k vectors
+    are projected onto every subset's span with two batched matmuls and the
+    residuals <= rank_tol are counted. The chunk holds 4096 // (k*dim)
+    subsets (at least one), so each (chunk, k, dim) complex temporary holds
+    about 4096 elements whatever the number of subsets.
+    """
     k = len(vectors)
     vecs = np.array([as_vector(v) for v in vectors])
     r = min(dim - 1, k)
     if r <= 0:
         return 0
+    chunk = max(1, 4096 // (k * dim))
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), r))
     best = 0
-    for subset in itertools.combinations(range(k), r):
-        basis = []
-        for idx in subset:
-            w = vecs[idx].copy()
-            for b in basis:
-                w = w - np.vdot(b, w) * b
-            n = np.linalg.norm(w)
-            if n > tol.rank_tol:
-                basis.append(w / n)
-        if basis:
-            bm = np.array(basis)
-            proj = vecs - (vecs @ bm.conj().T) @ bm
-        else:
-            proj = vecs
-        residues = np.linalg.norm(proj, axis=1)
-        best = max(best, int(np.count_nonzero(residues <= tol.rank_tol)))
-    return best
+    while True:
+        subsets = np.fromiter(itertools.islice(flat, chunk * r),
+                              dtype=np.intp).reshape(-1, r)
+        if not subsets.size:
+            return best
+        # Modified Gram-Schmidt, one member of every subset per step: once
+        # member i is normalized (or dropped as zero), members i+1.. lose
+        # their component along it, in the same order as a per-subset loop.
+        rest = vecs[subsets]
+        basis = np.zeros_like(rest)
+        for i in range(r):
+            w = rest[:, i]
+            n = np.linalg.norm(w, axis=1)
+            keep = n > tol.rank_tol
+            basis[keep, i] = w[keep] / n[keep, None]
+            b = basis[:, i, None]
+            tail = rest[:, i + 1:]
+            tail -= np.sum(b.conj() * tail, axis=2)[:, :, None] * b
+        proj = vecs - (vecs @ basis.conj().transpose(0, 2, 1)) @ basis
+        residues = np.linalg.norm(proj, axis=2)
+        best = max(best, int(np.count_nonzero(residues <= tol.rank_tol,
+                                              axis=1).max()))
 
 
 def verify_upb_bound(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdict:
     """Cardinality-certificate verdict: if the per-party maximum non-spanning
     sizes sum below k, no covering assignment can exist. Raises Inconclusive
     when the bound does not close."""
-    _check_condition1(ps, tol)
+    colored = _check_condition1(ps, tol)
     cert = []
     for m, d in enumerate(ps.party_dims):
         cert.append(max_nonspanning([ps.factor(j, m) for j in range(ps.k)],
                                     d, tol))
     if sum(cert) < ps.k:
-        return UpbVerdict(STATUS_CERTIFIED, True, certificate=tuple(cert))
+        return UpbVerdict(STATUS_CERTIFIED, True, certificate=tuple(cert),
+                          colored_graph=colored)
     raise Inconclusive("non-spanning certificate does not close",
                        certificate=cert, k=ps.k)
 

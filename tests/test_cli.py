@@ -60,6 +60,16 @@ class TestCommands:
         assert res["certificate"] == [2, 4]
         assert res["minimal"] is True
 
+    def test_pyramid_angle_label(self, capsys):
+        # the Table 1 label of the Pyramid row names the Pyramid UPB
+        label = "acos((sqrt(5)-1)/2)"
+        doc = run_json(["verify-upb", "one-param", "--theta", label,
+                        "--method", "exact"], capsys, schema="upb_verdict")
+        assert doc["result"]["status"] == "UPB"
+        doc = run_json(["equiv", "pyramid", f"one-param:{label}"], capsys,
+                       schema="equiv")
+        assert doc["result"]["equivalent"] is True
+
     def test_verify_upb_exact_pyramid(self, capsys):
         doc = run_json(["verify-upb", "pyramid", "--method", "exact"],
                        capsys, schema="upb_verdict")
@@ -187,6 +197,27 @@ class TestErrors:
     def test_usage_error_exit_2(self, capsys):
         code = cli.run(["family", "one-param"])  # missing --theta
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-upb", "--in", "{tmp}/missing.json"],
+        ["equiv", "pyramid", "{tmp}/nothere.json"],
+        ["verify-upb", "--in", "{tmp}/malformed.json"],
+        ["alpha", "--in", "{tmp}/wrong_kind.json"],
+        ["lee", "pyramid", "--restarts", "0"],
+        ["verify-upb", "pyramid", "--tol", "-1"],
+        ["verify-upb", "one-param", "--theta", "acos(2)"],
+        ["bes", "genpyramid", "--m", "3", "--t", "2"],
+    ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
+            "wrong-kind-json", "zero-restarts", "negative-tol",
+            "angle-outside-domain", "three-party-bes"])
+    def test_bad_input_usage_error(self, capsys, tmp_path, argv):
+        (tmp_path / "malformed.json").write_text('{"party_dims": [3, 3')
+        (tmp_path / "wrong_kind.json").write_text('{"party_dims": [3, 3]}')
+        code = cli.run([x.format(tmp=tmp_path) for x in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
 
     def test_unknown_family_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,8 @@ from ctxupb.errors import (BudgetExceeded, Inconclusive, NotOrthogonalSet,
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
                              quadres_local)
 from ctxupb.graphs import complement, complete, cycle, is_cycle
-from ctxupb.linalg import hermitian_eig, kron_all, partial_transpose
+from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
+                           partial_transpose)
 from ctxupb.upb import (ProductSet, assemble_mapped, bound_entangled_state,
                         gencontextual_upb, is_minimal, is_ppt,
                         max_nonspanning, one_param_upb, party_graphs,
@@ -17,7 +18,7 @@ from ctxupb.upb import (ProductSet, assemble_mapped, bound_entangled_state,
                         verify_upb_bound, verify_upb_exact)
 
 from conftest import (genpyramid_25_upb, genpyramid_25_witness,
-                      unit_basis as e, witness_overlap)
+                      random_unitary, unit_basis as e, witness_overlap)
 
 PENTAGRAM = frozenset({(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)})
 
@@ -226,6 +227,140 @@ class TestBoundVerifier:
         assert max_nonspanning([v, v, w], 3) == 3
         u = np.array([0, 0, 1], dtype=complex)
         assert max_nonspanning([v, v, u, w], 3) >= 2
+
+
+def reference_max_nonspanning(vectors, dim, tol=DEFAULT_TOL):
+    """One Gram-Schmidt loop per (dim-1)-subset: the scan max_nonspanning
+    batches, kept as its oracle."""
+    k = len(vectors)
+    vecs = np.array([np.asarray(v, dtype=complex) for v in vectors])
+    r = min(dim - 1, k)
+    if r <= 0:
+        return 0
+    best = 0
+    for subset in itertools.combinations(range(k), r):
+        basis = []
+        for idx in subset:
+            w = vecs[idx].copy()
+            for b in basis:
+                w = w - np.vdot(b, w) * b
+            n = np.linalg.norm(w)
+            if n > tol.rank_tol:
+                basis.append(w / n)
+        if basis:
+            bm = np.array(basis)
+            proj = vecs - (vecs @ bm.conj().T) @ bm
+        else:
+            proj = vecs
+        residues = np.linalg.norm(proj, axis=1)
+        best = max(best, int(np.count_nonzero(residues <= tol.rank_tol)))
+    return best
+
+
+def _units(rows):
+    return list(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def _gaussian(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _planted_set(rng, k, dim, block, sub_dim):
+    """k random unit vectors in C^dim whose last `block` lie in one random
+    sub_dim-dimensional subspace, so the largest non-spanning subsets come
+    last in lexicographic order."""
+    rows = _gaussian(rng, k, dim)
+    rows[k - block:] = _gaussian(rng, block, sub_dim) @ _gaussian(rng, sub_dim,
+                                                                  dim)
+    return _units(rows)
+
+
+def _degenerate_set(kind, seed):
+    rng = np.random.default_rng([seed, 31])
+    if kind == "repeated":
+        # exact copies and phase multiples of earlier members
+        dim, k = 4, 9
+        rows = _gaussian(rng, k, dim)
+        rows[3] = rows[0]
+        rows[5] = 1j * rows[1]
+        rows[8] = rows[0] * np.exp(0.7j)
+        return _units(rows), dim
+    if kind == "planted":
+        dim = int(rng.integers(3, 6))
+        k = int(rng.integers(dim + 2, 11))
+        block = int(rng.integers(2, k - 1))
+        return _planted_set(rng, k, dim, block,
+                            int(rng.integers(1, dim))), dim
+    if kind == "few":
+        # k <= dim - 1: the one subset is the whole set
+        dim = int(rng.integers(3, 7))
+        return _units(_gaussian(rng, int(rng.integers(1, dim)), dim)), dim
+    if kind == "dim1":
+        return _units(_gaussian(rng, int(rng.integers(1, 6)), 1)), 1
+    # dim 2: every non-spanning subset is collinear
+    rows = _gaussian(rng, 7, 2)
+    rows[4] = rows[1] * np.exp(2.1j)
+    rows[6] = rows[1]
+    return _units(rows), 2
+
+
+def _rotated(ps, seed):
+    rng = np.random.default_rng([seed, 7])
+    us = [random_unitary(rng, d) for d in ps.party_dims]
+    return ProductSet(ps.party_dims, tuple(
+        tuple(u @ f for u, f in zip(us, st)) for st in ps.states))
+
+
+def _certificate(ps):
+    return [max_nonspanning([ps.factor(j, m) for j in range(ps.k)], d)
+            for m, d in enumerate(ps.party_dims)]
+
+
+class TestBatchedNonspanningScan:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["repeated", "planted", "few", "dim1",
+                                      "dim2"])
+    def test_matches_per_subset_loop(self, kind, seed):
+        vectors, dim = _degenerate_set(kind, seed)
+        assert (max_nonspanning(vectors, dim)
+                == reference_max_nonspanning(vectors, dim))
+
+    def test_known_values_of_degenerate_sets(self):
+        vectors, dim = _degenerate_set("repeated", 0)
+        # lines {0, 3, 8} and {1, 5} plus any third member span a 3-space
+        assert max_nonspanning(vectors, dim) == 6
+        vectors, dim = _degenerate_set("dim2", 0)
+        assert max_nonspanning(vectors, dim) == 3   # {1, 4, 6}
+        vectors, dim = _degenerate_set("dim1", 0)
+        assert max_nonspanning(vectors, dim) == 0
+        vectors, dim = _degenerate_set("few", 0)
+        assert max_nonspanning(vectors, dim) == len(vectors)
+
+    @pytest.mark.parametrize("k,dim", [(12, 4), (9, 5), (16, 3), (14, 6)])
+    def test_scan_spanning_several_chunks(self, k, dim):
+        # a chunk holds 4096 // (k * dim) subsets; these counts exceed one
+        # chunk and are not a multiple of it, and the planted block puts the
+        # largest non-spanning subsets in the last, partial chunk
+        chunk = 4096 // (k * dim)
+        subsets = math.comb(k, dim - 1)
+        assert subsets > chunk and subsets % chunk
+        rng = np.random.default_rng([k, dim])
+        vectors = _planted_set(rng, k, dim, dim + 1, dim - 1)
+        got = max_nonspanning(vectors, dim)
+        assert got == reference_max_nonspanning(vectors, dim)
+        assert got == dim + 1
+
+    @pytest.mark.parametrize("n", range(7, 25, 2))
+    def test_rotated_gencontextual_certificate(self, n):
+        assert _certificate(_rotated(gencontextual_upb(n), n)) == [2, n - 3]
+
+    @pytest.mark.parametrize("p,cert", [(13, [6, 6]), (17, [8, 8])])
+    def test_rotated_quadres_certificate(self, p, cert):
+        assert _certificate(_rotated(quadres_upb(p), p)) == cert
+
+    def test_rotated_genpyramid_certificate(self):
+        ps = assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4))
+        assert _certificate(_rotated(ps, 4)) == [2, 2, 6, 2]
 
 
 class TestMinimality:
