@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import contextuality, entanglement, families, graphs, jsonio, upb
-from .errors import DomainError, Inconclusive
+from .errors import DomainError
 from .expr import ExprError, parse_angle
 from .linalg import Tolerances, hermitian_eig, partial_transpose
 
@@ -161,14 +161,7 @@ def _verify(ps, method: str, tol: Tolerances):
         return upb.verify_upb_exact(ps, tol)
     if method == "bound":
         return upb.verify_upb_bound(ps, tol)
-    # auto: certificate first, exact fallback within budget
-    try:
-        return upb.verify_upb_bound(ps, tol)
-    except Inconclusive:
-        if ps.n_parties ** ps.k > upb.ASSIGNMENT_BUDGET:
-            raise Inconclusive("certificate failed and exact search is over "
-                               "budget", parties=ps.n_parties, k=ps.k)
-        return upb.verify_upb_exact(ps, tol)
+    return upb.verify_upb_auto(ps, tol)
 
 
 # ---------------------------------------------------------------- commands
@@ -256,13 +249,15 @@ def cmd_bes(a):
     return out, ("bes", out)
 
 
-def _require_restarts(a):
+def _require_search_args(a):
     if a.restarts < 1:
         raise UsageError("--restarts must be at least 1")
+    if a.seed < 0:
+        raise UsageError("--seed must be non-negative")
 
 
 def cmd_lee(a):
-    _require_restarts(a)
+    _require_search_args(a)
     tol = _tolerances(a)
     ps = _upb_from_args(a)
     verdict = _verify(ps, a.method, tol)
@@ -284,7 +279,7 @@ def cmd_equiv(a):
 
 
 def cmd_table1(a):
-    _require_restarts(a)
+    _require_search_args(a)
     res = entanglement.table1(seed=a.seed, restarts=a.restarts,
                               L=a.L if a.L else 16)
     return res, ("table1", res)

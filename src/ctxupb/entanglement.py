@@ -2,12 +2,14 @@
 
 Decompositions of a rank-r state are parameterized as isometric mixings of
 the scaled eigenvectors (every decomposition arises this way), and optimized
-by repeated two-element Jacobi mixing sweeps: for each row pair, a complex
-2x2 unitary mixing is optimized over mixing angle and relative phase with a
-coarse grid followed by golden-section refinement to 1e-8 angular
-resolution. Restart 0 starts from the identity embedding (the bare
-eigendecomposition), the rest from seeded random isometries; restart r draws
-from the counter-derived stream (seed, r), so any execution order enumerates
+by repeated two-element Jacobi mixing sweeps: each sweep mixes every row pair
+once, in tournament rounds of disjoint pairs. A pair's complex 2x2 unitary
+mixing is chosen over mixing angle and relative phase by a coarse grid, then
+refined by a few safeguarded Newton steps on the angle and then on the phase,
+each kept inside the grid cell and stopped at 1e-8 angular resolution.
+Restart 0 starts from the identity embedding (the bare eigendecomposition),
+the rest from seeded random isometries; restart r draws from the
+counter-derived stream (seed, r), so any execution order enumerates
 identical starting points. The reported value is an upper bound on the true
 convex roof.
 """
@@ -15,18 +17,19 @@ convex roof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadDecomposition, BadSize, DimensionMismatch
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, as_vector, partial_trace
 
-GOLDEN = 0.6180339887498949
 GRID_ANGLES = 17
 GRID_PHASES = 16
 EIG_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-12
+FD_STEP = 1e-4
+NEWTON_STEPS = 4
 
 # reference columns for the five-angle table (strength, lee)
 TABLE1_ROWS = (
@@ -67,6 +70,9 @@ class LeeResult:
     restarts_used: int
     converged: bool
     seed: int
+    # per restart, in restart order: final value and Jacobi sweeps run
+    restart_values: tuple = field(default=(), repr=False, compare=False)
+    sweeps: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"value": self.value, "restarts_used": self.restarts_used,
@@ -105,35 +111,53 @@ def decomposition_value(rho, dims: tuple[int, int], d: Decomposition,
 
 
 def _round_robin(L: int):
-    # tournament schedule: all pairs in L-1 rounds of disjoint pairs
-    xs = list(range(L))
+    """Tournament schedule: every row pair exactly once, in rounds of
+    disjoint pairs. Odd L plays the circle method on L+1 slots; pairs with
+    the phantom row L are byes and are left out."""
+    n = L + L % 2
+    xs = list(range(n))
     rounds = []
-    for _ in range(L - 1):
-        rounds.append([(min(xs[k], xs[L - 1 - k]), max(xs[k], xs[L - 1 - k]))
-                       for k in range(L // 2)])
+    for _ in range(n - 1):
+        rnd = [(min(a, b), max(a, b))
+               for a, b in ((xs[k], xs[n - 1 - k]) for k in range(n // 2))
+               if max(a, b) < L]
+        if rnd:
+            rounds.append(rnd)
         xs = [xs[0]] + [xs[-1]] + xs[1:-1]
     return rounds
 
 
-def _golden_min(fun, lo, hi, tol):
-    """Batched golden-section minimization over [lo, hi] elementwise."""
-    a = lo.copy()
-    b = hi.copy()
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1 = fun(x1)
-    f2 = fun(x2)
-    span = float(np.max(b - a)) * GOLDEN
-    while span > tol:
-        m = f1 < f2
-        a = np.where(m, a, x1)
-        b = np.where(m, x2, b)
-        xn = np.where(m, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
-        fn = fun(xn)
-        x1, x2, f1, f2 = (np.where(m, xn, x2), np.where(m, x1, xn),
-                          np.where(m, fn, f2), np.where(m, f1, fn))
-        span *= GOLDEN
-    return np.where(f1 < f2, x1, x2)
+def _newton_min(fun, x, lo, hi, tol):
+    """Batched safeguarded Newton descent from x, kept inside [lo, hi]
+    elementwise, in at most NEWTON_STEPS steps.
+
+    f' and f'' are central differences of fun at x-h, x, x+h, taken in one
+    stacked call. Where f'' <= 0 the step goes to the downhill end of the
+    interval. An element stops once its step is at most tol, or undoes its
+    last step and stops once that step did not lower fun; so each element's
+    path does not depend on the rest of the batch.
+    """
+    h = FD_STEP
+    offsets = np.array([-h, 0.0, h]).reshape((3,) + (1,) * x.ndim)
+    live = np.ones(x.shape, dtype=bool)
+    x_prev, f_prev = x, np.inf
+    for _ in range(NEWTON_STEPS):
+        fm, f0, fp = fun(x + offsets)
+        undo = live & (f0 >= f_prev)
+        x = np.where(undo, x_prev, x)
+        live &= ~undo
+        grad = (fp - fm) / (2 * h)
+        curv = (fp - 2 * f0 + fm) / (h * h)
+        convex = curv > 0
+        newton = -grad / np.where(convex, curv, 1.0)
+        downhill = np.where(grad > 0, lo, hi) - x
+        xn = np.clip(x + np.where(convex, newton, downhill), lo, hi)
+        live &= np.abs(xn - x) > tol
+        x_prev, f_prev = x, f0
+        x = np.where(live, xn, x)
+        if not live.any():
+            break
+    return x
 
 
 def _row_objective(X, da: int, db: int):
@@ -147,7 +171,7 @@ def _row_objective(X, da: int, db: int):
     return np.where(tr > 1e-30, tr - tr2 / np.maximum(tr, 1e-300), 0.0)
 
 
-def _jacobi_sweep(X, da, db, rounds, angs, phis, angle_tol, alternations=1):
+def _jacobi_sweep(X, da, db, rounds, angs, phis, angle_tol):
     """One sweep of pairwise 2x2 mixings over the tournament schedule.
 
     X has shape (R, L, D) and is updated in place; each restart slice is
@@ -209,20 +233,27 @@ def _jacobi_sweep(X, da, db, rounds, angs, phis, angle_tol, alternations=1):
         gv = pair_obj(cga[:, None], sga[:, None], czg[None, :], szg[None, :],
                       grid_scal)
         base = gv[:, :, nga // 2, 0]     # angle 0: identity mixing
-        idx = gv.reshape(R, len(rnd), -1).argmin(axis=2)
-        a_c = angs[idx // ngp]
-        p_c = phis[idx % ngp]
-        for _ in range(alternations):
-            czc, szc = np.cos(p_c), np.sin(p_c)
-            a_c = _golden_min(
-                lambda a: pair_obj(np.cos(a), np.sin(a), czc, szc, flat_scal),
-                a_c - da_step, a_c + da_step, angle_tol)
-            cac, sac = np.cos(a_c), np.sin(a_c)
-            p_c = _golden_min(
-                lambda ph: pair_obj(cac, sac, np.cos(ph), np.sin(ph), flat_scal),
-                p_c - dp_step, p_c + dp_step, angle_tol)
+        flat_gv = gv.reshape(R, len(rnd), -1)
+        idx = flat_gv.argmin(axis=2)
+        gmin = flat_gv.min(axis=2)
+        a_g = angs[idx // ngp]
+        p_g = phis[idx % ngp]
+        # refine the angle at the grid phase, then the phase at that angle,
+        # and keep the grid point where refining did not lower the objective
+        czc, szc = np.cos(p_g), np.sin(p_g)
+        a_c = _newton_min(
+            lambda a: pair_obj(np.cos(a), np.sin(a), czc, szc, flat_scal),
+            a_g, a_g - da_step, a_g + da_step, angle_tol)
+        cac, sac = np.cos(a_c), np.sin(a_c)
+        p_c = _newton_min(
+            lambda ph: pair_obj(cac, sac, np.cos(ph), np.sin(ph), flat_scal),
+            p_g, p_g - dp_step, p_g + dp_step, angle_tol)
         gopt = pair_obj(np.cos(a_c), np.sin(a_c), np.cos(p_c), np.sin(p_c),
                         flat_scal)
+        worse = gopt > gmin
+        a_c = np.where(worse, a_g, a_c)
+        p_c = np.where(worse, p_g, p_c)
+        gopt = np.minimum(gopt, gmin)
         do = (base - gopt) > 1e-15
         if np.any(do):
             c = np.cos(a_c)[..., None]
@@ -243,7 +274,8 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
 
     L defaults to r^2 for a rank-r state. Each restart sweeps until its own
     last-sweep improvement drops below sweep_tol; the minimum over restarts
-    wins, ties broken by lowest restart index.
+    wins, ties broken by lowest restart index. angle_tol is the angular
+    resolution at which a pair's Newton refinement stops.
     """
     m = as_matrix(rho)
     da, db = dims
@@ -279,11 +311,13 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
 
     vals = _row_objective(X, da, db).sum(axis=1)
     converged = np.zeros(R, dtype=bool)
+    sweeps = np.zeros(R, dtype=int)
     active = np.arange(R)
     for _ in range(max_sweeps):
         Xa = X[active]
         _jacobi_sweep(Xa, da, db, rounds, angs, phis, angle_tol)
         X[active] = Xa
+        sweeps[active] += 1
         new = _row_objective(Xa, da, db).sum(axis=1)
         done = (vals[active] - new) < sweep_tol
         vals[active] = new
@@ -301,7 +335,9 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
                    for i in range(L) if keep_rows[i])
     decomp = Decomposition(tuple(float(w) for w in weights[keep_rows]), states)
     return LeeResult(float(vals[best_idx]), decomp, R,
-                     bool(converged[best_idx]), seed)
+                     bool(converged[best_idx]), seed,
+                     restart_values=tuple(float(v) for v in vals),
+                     sweeps=tuple(int(n) for n in sweeps))
 
 
 def table1(seed: int = 7, restarts: int = 64, L: int = 16,

@@ -1,12 +1,15 @@
 """Deterministic JSON emission: dict key order is preserved as constructed
 and every float is rendered with 12 significant digits, so identical inputs
-produce byte-identical output.
+produce byte-identical output. numpy integer, bool and floating scalars are
+written exactly as the Python int, bool and float of the same value.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -27,16 +30,14 @@ def dumps(obj) -> str:
 def _emit(obj, parts: list[str]) -> None:
     if obj is None:
         parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(format_float(obj))
+    elif isinstance(obj, (bool, np.bool_)):
+        parts.append("true" if obj else "false")
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):

@@ -313,7 +313,10 @@ def verify_upb_exact(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdic
     some pair is orthogonal in no party (checked before the budget, since
     the pair scan is quadratic), BudgetExceeded above the budget.
     """
-    colored = _check_condition1(ps, tol)
+    return _exact_verdict(ps, tol, _check_condition1(ps, tol))
+
+
+def _exact_verdict(ps: ProductSet, tol: Tolerances, colored) -> UpbVerdict:
     if ps.n_parties ** ps.k > ASSIGNMENT_BUDGET:
         raise BudgetExceeded("assignment enumeration over budget",
                              parties=ps.n_parties, k=ps.k,
@@ -377,7 +380,10 @@ def verify_upb_bound(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdic
     """Cardinality-certificate verdict: if the per-party maximum non-spanning
     sizes sum below k, no covering assignment can exist. Raises Inconclusive
     when the bound does not close."""
-    colored = _check_condition1(ps, tol)
+    return _bound_verdict(ps, tol, _check_condition1(ps, tol))
+
+
+def _bound_verdict(ps: ProductSet, tol: Tolerances, colored) -> UpbVerdict:
     cert = []
     for m, d in enumerate(ps.party_dims):
         cert.append(max_nonspanning([ps.factor(j, m) for j in range(ps.k)],
@@ -387,6 +393,21 @@ def verify_upb_bound(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdic
                           colored_graph=colored)
     raise Inconclusive("non-spanning certificate does not close",
                        certificate=cert, k=ps.k)
+
+
+def verify_upb_auto(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdict:
+    """Certificate verdict, falling back to the exact search when the
+    certificate does not close; condition 1 is checked once for both.
+    Raises Inconclusive when the fallback is over the exact search's
+    budget."""
+    colored = _check_condition1(ps, tol)
+    try:
+        return _bound_verdict(ps, tol, colored)
+    except Inconclusive:
+        if ps.n_parties ** ps.k > ASSIGNMENT_BUDGET:
+            raise Inconclusive("certificate failed and exact search is over "
+                               "budget", parties=ps.n_parties, k=ps.k)
+        return _exact_verdict(ps, tol, colored)
 
 
 def is_minimal(ps: ProductSet) -> bool:

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ctxupb import cli, jsonio
+from ctxupb import cli, jsonio, upb
 from ctxupb.families import one_param_family
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "schemas")
@@ -155,6 +155,21 @@ class TestCommands:
         assert abs(doc["result"]["value"] - math.sqrt(5)) <= 1e-12
 
 
+def test_auto_fallback_checks_condition1_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = upb.party_graphs
+    monkeypatch.setattr(upb, "party_graphs", counting)
+    doc = run_json(["verify-upb", "genpyramid", "--m", "4", "--t", "3",
+                    "--method", "auto"], capsys, schema="upb_verdict")
+    assert doc["result"]["status"] == "Extendible"
+    assert len(calls) == 1
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):
         a = run_cli(["verify-upb", "gencontextual", "--n", "7"], capsys)[1]
@@ -174,6 +189,23 @@ class TestDeterminism:
         assert jsonio.format_float(math.sqrt(5)) == "2.2360679775"
         assert jsonio.format_float(-0.0) == "0"
         assert jsonio.format_float(0.07295) == "0.07295"
+
+    def test_numpy_integer_like_int(self):
+        for x in (np.int8(-7), np.int64(2 ** 40), np.uint16(5)):
+            assert jsonio.dumps([x, {"k": x}]) == jsonio.dumps(
+                [int(x), {"k": int(x)}])
+
+    def test_numpy_bool_like_bool(self):
+        assert jsonio.dumps([np.True_, {"k": np.False_}]) == jsonio.dumps(
+            [True, {"k": False}]) == '[true,{"k":false}]'
+
+    def test_numpy_floating_like_float(self):
+        for x in (np.float64(math.pi), np.float32(0.1), np.float16(-0.0),
+                  np.longdouble(1) / 3):
+            assert jsonio.dumps([x, {"k": x}]) == jsonio.dumps(
+                [float(x), {"k": float(x)}])
+        with pytest.raises(ValueError):
+            jsonio.dumps(np.float32("nan"))
 
 
 class TestErrors:
@@ -207,9 +239,12 @@ class TestErrors:
         ["verify-upb", "pyramid", "--tol", "-1"],
         ["verify-upb", "one-param", "--theta", "acos(2)"],
         ["bes", "genpyramid", "--m", "3", "--t", "2"],
+        ["lee", "pyramid", "--seed", "-1", "--restarts", "2", "--L", "5"],
+        ["table1", "--seed", "-1", "--restarts", "2"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
-            "angle-outside-domain", "three-party-bes"])
+            "angle-outside-domain", "three-party-bes", "negative-lee-seed",
+            "negative-table1-seed"])
     def test_bad_input_usage_error(self, capsys, tmp_path, argv):
         (tmp_path / "malformed.json").write_text('{"party_dims": [3, 3')
         (tmp_path / "wrong_kind.json").write_text('{"party_dims": [3, 3]}')

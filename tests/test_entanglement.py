@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ctxupb.entanglement import (Decomposition, decomposition_value,
-                                 lee_upper_bound, linear_entropy,
-                                 pure_lee_term)
+from ctxupb.entanglement import (Decomposition, _newton_min, _round_robin,
+                                 decomposition_value, lee_upper_bound,
+                                 linear_entropy, pure_lee_term)
 from ctxupb.errors import BadDecomposition, BadSize, DimensionMismatch
 from ctxupb.families import pyramid
 from ctxupb.linalg import hermitian_eig
@@ -163,3 +164,59 @@ class TestLeeUpperBound:
         rho = bound_entangled_state(ps, verify_upb_exact(ps)).matrix
         res = lee_upper_bound(rho, (3, 3), restarts=8, seed=7)
         assert res.value == pytest.approx(0.065191, abs=2e-4)
+
+    def test_restart_results_independent_of_batch(self):
+        rho = pyramid_bes()
+        one = lee_upper_bound(rho, (3, 3), L=5, restarts=1, seed=7)
+        four = lee_upper_bound(rho, (3, 3), L=5, restarts=4, seed=7)
+        eight = lee_upper_bound(rho, (3, 3), L=5, restarts=8, seed=7)
+        assert one.sweeps[0] == eight.sweeps[0]
+        assert abs(one.restart_values[0] - eight.restart_values[0]) <= 1e-12
+        assert four.sweeps == eight.sweeps[:4]
+        assert np.allclose(four.restart_values, eight.restart_values[:4],
+                           rtol=0, atol=1e-12)
+        assert len(eight.sweeps) == len(eight.restart_values) == 8
+        assert all(1 <= n <= 500 for n in eight.sweeps)
+        assert eight.value == min(eight.restart_values)
+        assert "restart_values" not in eight.to_json()
+        assert "sweeps" not in eight.to_json()
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("L", range(1, 18))
+    def test_every_pair_once_in_disjoint_rounds(self, L):
+        rounds = _round_robin(L)
+        pairs = sorted(p for rnd in rounds for p in rnd)
+        assert pairs == list(itertools.combinations(range(L), 2))
+        for rnd in rounds:
+            assert rnd
+            rows = [i for pair in rnd for i in pair]
+            assert len(rows) == len(set(rows))
+
+
+class TestNewtonMin:
+    @staticmethod
+    def run(x0, lo, hi, centre):
+        # 1 - cos(x - centre): minimum at centre, concave beyond pi/2 of it
+        centre = np.asarray(centre)
+        return _newton_min(lambda x: 1 - np.cos(x - centre),
+                           np.asarray(x0), np.asarray(lo), np.asarray(hi),
+                           1e-8)
+
+    def test_descends_inside_bounds(self):
+        x0 = [0.1, 0.1, 3.0, 0.2, 1.2]
+        lo = [-0.1, -0.1, 2.8, 0.0, -1.5]
+        hi = [0.3, 0.3, 3.2, 0.4, 1.5]
+        centre = [0.25, 1.0, 0.0, 0.2, 0.0]
+        x = self.run(x0, lo, hi, centre)
+        assert abs(x[0] - 0.25) <= 1e-8           # converges inside the cell
+        assert x[1] == 0.3                        # stops at the cell edge
+        assert x[2] == 2.8                        # concave: steps downhill
+        assert x[3] == 0.2                        # already at the minimum
+        assert x[4] == 1.2                        # overshooting step undone
+        assert np.all(1 - np.cos(x - centre) <= 1 - np.cos(np.subtract(
+            x0, centre)))
+        for i in range(5):                        # each element on its own
+            alone = self.run(x0[i:i + 1], lo[i:i + 1], hi[i:i + 1],
+                             centre[i:i + 1])
+            assert alone[0] == x[i]
