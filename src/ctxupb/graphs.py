@@ -4,6 +4,12 @@ numbers, and edge-colored graph equivalence.
 Vertices are always 0..n-1. Undirected edges are stored as (i, j) pairs with
 i < j. Exact searches carry explicit budgets (independence: n <= 64,
 colored equivalence: n <= 16).
+
+The independence search takes every vertex of degree <= 1 before it
+branches, which solves paths, trees and cycles almost at once. The
+lexicographically smallest maximum independent set is built vertex by
+vertex, each step a decision search that stops as soon as the rest of the
+set is known to fit.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ class Graph:
     edges: frozenset
 
     def __post_init__(self):
+        if self.n < 0:
+            raise BadOrder("negative vertex count", n=self.n)
         for (i, j) in self.edges:
             if not (0 <= i < j < self.n):
                 raise BadOrder("edge outside vertex range or self-loop",
@@ -53,7 +61,18 @@ class Graph:
 
     @staticmethod
     def from_json(obj: dict) -> "Graph":
-        return graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"vertex count must be a non-negative integer, "
+                             f"not {n!r}")
+        for e in edges:
+            if not all(_is_int(x) for x in e):
+                raise ValueError(f"edge endpoints must be integers, not {e!r}")
+        return graph(n, edges)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph(n: int, edges) -> Graph:
@@ -100,47 +119,70 @@ def is_cycle(g: Graph) -> bool:
     """
     if g.n < 3:
         return False
-    if any(g.degree(v) != 2 for v in range(g.n)):
+    if any(m.bit_count() != 2 for m in g.adjacency_masks()):
         return False
     return is_connected(g)
 
 
-def _max_independent_branch(adj: list[int], cand: int, size: int, best: list[int]) -> None:
-    # branch and bound: bound by candidate count, branch on max-degree vertex
-    cnt = bin(cand).count("1")
-    if size + cnt <= best[0]:
-        return
-    if cand == 0:
-        best[0] = size
-        return
-    v, vdeg = -1, -1
-    m = cand
-    while m:
-        u = (m & -m).bit_length() - 1
-        d = bin(adj[u] & cand).count("1")
-        if d > vdeg:
-            v, vdeg = u, d
-        m &= m - 1
-    if vdeg == 0:
-        # candidates are pairwise non-adjacent
-        best[0] = max(best[0], size + cnt)
-        return
-    _max_independent_branch(adj, cand & ~(adj[v] | (1 << v)), size + 1, best)
-    _max_independent_branch(adj, cand & ~(1 << v), size, best)
+def _max_independent_branch(adj: list[int], cand: int, size: int,
+                            best: list[int], stop: int) -> None:
+    """Raises best[0] to size + alpha(cand) if that is larger; returns early
+    once best[0] >= stop.
+
+    A candidate of degree <= 1 inside cand is always taken: some maximum
+    independent set contains it. Otherwise the search branches on a vertex
+    of largest degree; the include branch recurses and the exclude branch
+    continues the loop, so the recursion depth is at most alpha + 1. The
+    candidate count bounds every node.
+    """
+    while True:
+        if size + cand.bit_count() <= best[0]:
+            return
+        if cand == 0:
+            best[0] = size
+            return
+        v, vdeg = -1, -1
+        m = cand
+        while m:
+            u = (m & -m).bit_length() - 1
+            d = (adj[u] & cand).bit_count()
+            if d <= 1:
+                v, vdeg = u, d
+                break
+            if d > vdeg:
+                v, vdeg = u, d
+            m &= m - 1
+        if vdeg <= 1:
+            size += 1
+            cand &= ~(adj[v] | (1 << v))
+            continue
+        _max_independent_branch(adj, cand & ~(adj[v] | (1 << v)), size + 1,
+                                best, stop)
+        if best[0] >= stop:
+            return
+        cand &= ~(1 << v)
 
 
 def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size (branch and bound, n <= 64)."""
+    """Exact maximum independent set size (n <= 64): branch and bound on a
+    vertex of largest degree, after taking every vertex of degree <= 1."""
     if g.n > INDEPENDENCE_BUDGET:
         raise TooLarge("independence search budget exceeded",
                        n=g.n, budget=INDEPENDENCE_BUDGET)
     best = [0]
-    _max_independent_branch(g.adjacency_masks(), (1 << g.n) - 1, 0, best)
+    _max_independent_branch(g.adjacency_masks(), (1 << g.n) - 1, 0, best,
+                            g.n + 1)
     return best[0]
 
 
 def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Independence number plus the lexicographically smallest witness."""
+    """Independence number plus the lexicographically smallest witness.
+
+    Each vertex in turn is kept if the rest of a maximum set still fits among
+    its non-neighbours. That is a decision, alpha(sub) >= need - 1, so each
+    search starts from an incumbent of need - 2 and stops once it finds
+    need - 1.
+    """
     alpha = independence_number(g)
     adj = g.adjacency_masks()
     chosen: list[int] = []
@@ -152,8 +194,8 @@ def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
         if not (cand >> v) & 1:
             continue
         sub = cand & ~(adj[v] | (1 << v))
-        best = [0]
-        _max_independent_branch(adj, sub, 0, best)
+        best = [need - 2]
+        _max_independent_branch(adj, sub, 0, best, need - 1)
         if best[0] >= need - 1:
             chosen.append(v)
             cand = sub

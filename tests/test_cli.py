@@ -241,13 +241,19 @@ class TestErrors:
         ["bes", "genpyramid", "--m", "3", "--t", "2"],
         ["lee", "pyramid", "--seed", "-1", "--restarts", "2", "--L", "5"],
         ["table1", "--seed", "-1", "--restarts", "2"],
+        ["alpha", "--in", "{tmp}/fractional_endpoint.json"],
+        ["alpha", "--in", "{tmp}/negative_order.json"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
             "angle-outside-domain", "three-party-bes", "negative-lee-seed",
-            "negative-table1-seed"])
+            "negative-table1-seed", "fractional-edge-endpoint",
+            "negative-graph-order"])
     def test_bad_input_usage_error(self, capsys, tmp_path, argv):
         (tmp_path / "malformed.json").write_text('{"party_dims": [3, 3')
         (tmp_path / "wrong_kind.json").write_text('{"party_dims": [3, 3]}')
+        (tmp_path / "fractional_endpoint.json").write_text(
+            '{"n": 3, "edges": [[0, 1.5]]}')
+        (tmp_path / "negative_order.json").write_text('{"n": -1, "edges": []}')
         code = cli.run([x.format(tmp=tmp_path) for x in argv])
         captured = capsys.readouterr()
         assert code == 2

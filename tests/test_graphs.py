@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ from ctxupb.graphs import (EQUIVALENCE_BUDGET, Graph, colored_equivalence,
                            smallest_nonresidue)
 
 
-def brute_force_alpha(g):
-    best = 0
+def brute_force_witness(g):
+    """(alpha, lexicographically smallest maximum independent set)."""
+    adj = g.adjacency_masks()
     for r in range(g.n, 0, -1):
         for sub in itertools.combinations(range(g.n), r):
-            if all(not g.has_edge(i, j)
-                   for i, j in itertools.combinations(sub, 2)):
-                return r
-    return best
+            mask = sum(1 << v for v in sub)
+            if all(not adj[v] & mask for v in sub):
+                return r, sub
+    return 0, ()
 
 
 def random_graph(rng, n, p=0.4):
@@ -95,7 +98,7 @@ class TestIndependence:
         for n in (4, 7, 10, 12):
             for _ in range(4):
                 g = random_graph(rng, n, p=rng.uniform(0.1, 0.7))
-                assert independence_number(g) == brute_force_alpha(g)
+                assert independence_number(g) == brute_force_witness(g)[0]
 
     def test_budget(self):
         with pytest.raises(TooLarge):
@@ -124,6 +127,159 @@ class TestIndependence:
                                for i, j in itertools.combinations(s, 2))),
                        default=1)
             assert independence_number(complement(g)) == want
+
+
+def path(n):
+    return graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def random_tree(rng, n):
+    return graph(n, [(int(rng.integers(v)), v) for v in range(1, n)])
+
+
+def disjoint_union(*gs):
+    edges, offset = [], 0
+    for g in gs:
+        edges += [(i + offset, j + offset) for i, j in g.edges]
+        offset += g.n
+    return graph(offset, edges)
+
+
+def with_pendants(g, anchors):
+    """g plus one new leaf hung on each anchor vertex."""
+    return graph(g.n + len(anchors),
+                 list(g.edges) + [(a, g.n + k) for k, a in enumerate(anchors)])
+
+
+def relabeled(g, rng):
+    perm = rng.permutation(g.n)
+    return graph(g.n, [(int(perm[i]), int(perm[j])) for i, j in g.edges])
+
+
+def low_degree_graphs():
+    rng = np.random.default_rng(20261018)
+    cases = {"n0": graph(0, []), "n1": graph(1, []), "empty-9": graph(9, []),
+             "star-8": graph(8, [(0, v) for v in range(1, 8)])}
+    for n in (2, 3, 4, 7, 12):
+        cases[f"path-{n}"] = path(n)
+        cases[f"path-{n}-relabeled"] = relabeled(path(n), rng)
+    for t in range(6):
+        cases[f"tree-{t}"] = relabeled(random_tree(rng, 6 + t), rng)
+    cases["cycle-5-pendant"] = with_pendants(cycle(5), [0])
+    cases["cycle-6-pendants"] = with_pendants(cycle(6), [0, 3])
+    cases["cycle-7-pendants"] = relabeled(
+        with_pendants(cycle(7), [1, 2, 4, 4]), rng)
+    cases["cycles-3-5"] = disjoint_union(cycle(3), cycle(5))
+    cases["cycles-4-4-5"] = relabeled(
+        disjoint_union(cycle(4), cycle(4), cycle(5)), rng)
+    cases["cycles-7-6"] = relabeled(disjoint_union(cycle(7), cycle(6)), rng)
+    for p in (0.05, 0.1, 0.2, 0.3):
+        for t in range(4):
+            n = int(rng.integers(8, 15))
+            cases[f"gnp-{p}-{t}"] = random_graph(rng, n, p)
+    return cases
+
+
+LOW_DEGREE_GRAPHS = low_degree_graphs()
+
+
+@pytest.mark.parametrize("name", sorted(LOW_DEGREE_GRAPHS))
+def test_search_matches_brute_force_oracle(name):
+    g = LOW_DEGREE_GRAPHS[name]
+    alpha, witness = brute_force_witness(g)
+    assert independence_number(g) == alpha
+    assert max_independent_set(g) == (alpha, witness)
+
+
+def _pin_cycle(n, seed):
+    # random.Random.random() is the one stream Python keeps across versions
+    r = random.Random(seed)
+    perm = sorted(range(n), key=lambda v: r.random())
+    return graph(n, [(perm[i], perm[(i + 1) % n]) for i in range(n)])
+
+
+def _pin_gnp(n, p, seed):
+    r = random.Random(seed)
+    return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if r.random() < p])
+
+
+def _pin_graph(name):
+    kind, _, arg = name.partition("-")
+    if kind == "paley":
+        return paley(int(arg))
+    if kind == "G48":
+        return _pin_gnp(48, 0.1, 4800 + int(arg))
+    return _pin_cycle(int(kind[1:]), 1000 * int(kind[1:]) + int(arg))
+
+
+# (alpha, witness) from the plain branch and bound (candidate-count bound
+# only); the reductions and the decision-mode witness search keep them
+PINNED_WITNESSES = {
+    "C41-0": (20, (0, 1, 2, 3, 5, 6, 8, 10, 12, 14, 17, 18, 19, 21, 23, 27,
+                   29, 33, 37, 39)),
+    "C41-1": (20, (0, 1, 3, 4, 5, 6, 7, 8, 10, 14, 16, 17, 18, 22, 23, 27,
+                   30, 34, 35, 39)),
+    "C41-2": (20, (0, 1, 2, 3, 4, 6, 7, 10, 11, 12, 15, 19, 20, 22, 31, 32,
+                   33, 34, 35, 37)),
+    "C41-3": (20, (0, 1, 2, 3, 6, 7, 8, 10, 12, 14, 19, 20, 21, 26, 29, 30,
+                   32, 33, 34, 40)),
+    "C41-4": (20, (0, 1, 2, 4, 5, 6, 8, 10, 13, 15, 18, 21, 22, 24, 26, 27,
+                   28, 30, 33, 40)),
+    "C43-0": (21, (0, 1, 2, 3, 5, 7, 9, 16, 17, 19, 22, 26, 27, 31, 33, 36,
+                   37, 39, 40, 41, 42)),
+    "C43-1": (21, (0, 1, 2, 3, 5, 10, 11, 14, 15, 16, 17, 18, 19, 26, 28, 30,
+                   33, 35, 38, 39, 41)),
+    "C43-2": (21, (0, 1, 2, 3, 4, 5, 9, 10, 12, 14, 16, 20, 22, 23, 25, 26,
+                   27, 32, 34, 36, 40)),
+    "C43-3": (21, (0, 1, 2, 6, 8, 9, 10, 12, 16, 18, 20, 21, 24, 26, 28, 30,
+                   31, 36, 37, 40, 42)),
+    "C43-4": (21, (0, 1, 2, 4, 7, 8, 12, 15, 16, 18, 19, 25, 26, 27, 29, 30,
+                   31, 32, 33, 35, 42)),
+    "G48-0": (20, (0, 2, 5, 6, 7, 13, 14, 16, 18, 19, 23, 24, 25, 26, 28, 29,
+                   30, 34, 35, 37)),
+    "G48-1": (23, (1, 5, 6, 8, 9, 11, 12, 13, 14, 15, 16, 18, 23, 24, 27, 30,
+                   33, 34, 35, 36, 40, 42, 43)),
+    "G48-2": (20, (0, 1, 3, 4, 5, 6, 7, 11, 13, 25, 26, 28, 30, 34, 36, 40,
+                   41, 42, 43, 46)),
+    "G48-3": (21, (2, 3, 4, 6, 7, 10, 13, 14, 15, 16, 17, 18, 20, 22, 23, 24,
+                   27, 28, 29, 31, 41)),
+    "G48-4": (20, (0, 2, 4, 7, 8, 11, 13, 18, 19, 21, 22, 31, 35, 37, 40, 42,
+                   43, 45, 46, 47)),
+    "G48-5": (21, (0, 1, 2, 3, 4, 5, 9, 10, 14, 17, 19, 20, 21, 24, 25, 28,
+                   31, 32, 35, 39, 45)),
+    "G48-6": (19, (1, 3, 4, 5, 10, 11, 14, 17, 20, 23, 25, 27, 28, 36, 37,
+                   38, 42, 43, 45)),
+    "G48-7": (22, (0, 1, 6, 7, 10, 12, 15, 17, 19, 20, 21, 25, 28, 30, 31,
+                   32, 35, 36, 38, 41, 42, 43)),
+    "paley-29": (4, (0, 2, 10, 12)),
+    "paley-37": (4, (0, 2, 8, 22)),
+    "paley-41": (5, (0, 3, 6, 17, 30)),
+    "paley-49": (7, (0, 8, 16, 24, 32, 40, 48)),
+    "paley-53": (5, (0, 2, 5, 23, 35)),
+    "paley-61": (5, (0, 2, 8, 10, 31)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESSES))
+def test_pinned_witnesses(name):
+    g = _pin_graph(name)
+    alpha, witness = PINNED_WITNESSES[name]
+    assert independence_number(g) == alpha
+    assert max_independent_set(g) == (alpha, witness)
+
+
+@pytest.mark.parametrize("g", [graph(64, []), path(64)],
+                         ids=["empty-64", "path-64"])
+def test_search_fits_small_recursion_limit(g):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        alpha, witness = max_independent_set(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert alpha == len(witness) == (64 if not g.edges else 32)
+    assert witness == tuple(range(0, 64, 1 if not g.edges else 2))
 
 
 class TestResidues:
@@ -301,3 +457,27 @@ def test_smallest_nonresidue():
     assert smallest_nonresidue(5) == 2
     assert smallest_nonresidue(13) == 2
     assert smallest_nonresidue(17) == 3
+
+
+class TestOrder:
+    def test_negative_order_rejected(self):
+        with pytest.raises(BadOrder):
+            graph(-1, [])
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 3, "edges": [[0, 1.5]]},
+        {"n": 3, "edges": [[0, True]]},
+        {"n": -1, "edges": []},
+        {"n": 2.5, "edges": []},
+        {"n": "3", "edges": []},
+    ], ids=["fractional-endpoint", "bool-endpoint", "negative-n",
+            "fractional-n", "string-n"])
+    def test_from_json_rejects_non_integers(self, doc):
+        with pytest.raises(ValueError):
+            Graph.from_json(doc)
+
+    def test_is_cycle_on_irregular_degrees(self):
+        # degree sum 2n but not 2-regular: a triangle with a pendant path
+        g = graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert not is_cycle(g)
+        assert not is_cycle(complement(cycle(7)))
