@@ -109,6 +109,14 @@ def _read_input(path: str, from_json):
                          f"{e!r}") from None
 
 
+def _token_int(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{name} token parameter {text!r} is not an "
+                         "integer") from None
+
+
 def _upb_from_token(token: str):
     """name[:params] or a JSON file path; used by equiv."""
     import os
@@ -122,11 +130,11 @@ def _upb_from_token(token: str):
     elif name == "genpyramid":
         if len(args) != 2:
             raise UsageError("genpyramid token needs m,t (e.g. genpyramid:4,3)")
-        kw["m"], kw["t"] = int(args[0]), int(args[1])
+        kw["m"], kw["t"] = (_token_int(name, x) for x in args)
     elif name == "quadres":
-        kw["p"] = int(args[0]) if args else None
+        kw["p"] = _token_int(name, args[0]) if args else None
     elif name == "gencontextual":
-        kw["n"] = int(args[0]) if args else None
+        kw["n"] = _token_int(name, args[0]) if args else None
     elif args:
         raise UsageError(f"{name} takes no token parameters")
     return build_upb(name, **kw)
@@ -156,14 +164,6 @@ def _tolerances(a) -> Tolerances:
     return Tolerances(orth_tol=a.tol, rank_tol=a.tol, psd_tol=a.tol)
 
 
-def _verify(ps, method: str, tol: Tolerances):
-    if method == "exact":
-        return upb.verify_upb_exact(ps, tol)
-    if method == "bound":
-        return upb.verify_upb_bound(ps, tol)
-    return upb.verify_upb_auto(ps, tol)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_family(a):
@@ -179,7 +179,7 @@ def cmd_graph(a):
 
 def cmd_verify(a):
     ps = _upb_from_args(a)
-    verdict = _verify(ps, a.method, _tolerances(a))
+    verdict = upb.verify_upb(ps, _tolerances(a), a.method)
     out = verdict.to_json()
     out["minimal"] = upb.is_minimal(ps)
     out["colored_graph"] = verdict.colored_graph.to_json()
@@ -228,7 +228,7 @@ def cmd_alpha(a):
 def cmd_bes(a):
     tol = _tolerances(a)
     ps = _upb_from_args(a)
-    verdict = _verify(ps, a.method, tol)
+    verdict = upb.verify_upb(ps, tol, a.method)
     rho = upb.bound_entangled_state(ps, verdict)
     if len(rho.party_dims) != 2:
         raise UsageError("bes needs a bipartite UPB")
@@ -260,7 +260,7 @@ def cmd_lee(a):
     _require_search_args(a)
     tol = _tolerances(a)
     ps = _upb_from_args(a)
-    verdict = _verify(ps, a.method, tol)
+    verdict = upb.verify_upb(ps, tol, a.method)
     rho = upb.bound_entangled_state(ps, verdict)
     if len(rho.party_dims) != 2:
         raise UsageError("lee needs a bipartite UPB")
@@ -383,8 +383,7 @@ def _add_common(sp, io=True, seeds=False, method=False):
         sp.add_argument("--restarts", type=int, default=64)
         sp.add_argument("--L", type=int, default=None)
     if method:
-        sp.add_argument("--method", choices=("exact", "bound", "auto"),
-                        default="auto")
+        sp.add_argument("--method", choices=upb.METHODS, default="auto")
 
 
 def _add_target(sp, names):

@@ -346,14 +346,14 @@ def table1(seed: int = 7, restarts: int = 64, L: int = 16,
     published reference values and deviations."""
     from .contextuality import strength
     from .families import one_param_family
-    from .upb import bound_entangled_state, one_param_upb, verify_upb_exact
+    from .upb import bound_entangled_state, one_param_upb, verify_upb
 
     rows = []
     for label, upb_type, theta, s_ref, lee_ref in TABLE1_ROWS:
         fam = one_param_family(theta)
         s = strength(fam.vectors, fam.label).value
         ps = one_param_upb(theta)
-        verdict = verify_upb_exact(ps, tol)
+        verdict = verify_upb(ps, tol, method="exact")
         rho = bound_entangled_state(ps, verdict)
         res = lee_upper_bound(rho.matrix, (3, 3), L=L, restarts=restarts,
                               seed=seed)

@@ -61,10 +61,6 @@ class EmptyFamily(DomainError):
     pass
 
 
-class BudgetExceeded(DomainError):
-    pass
-
-
 class NotOrthogonalSet(DomainError):
     pass
 

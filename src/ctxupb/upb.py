@@ -1,18 +1,20 @@
-"""Orthogonal product sets: assembly, exact and certificate-based
-(un)extendibility verification, minimality, bound entangled states, and
-graph equivalence of product bases.
+"""Orthogonal product sets: assembly, (un)extendibility verification,
+minimality, bound entangled states, and graph equivalence of product bases.
 
 Verification follows the two graph-theoretic conditions for unextendibility:
 (1) the per-party orthogonality graphs must cover the complete graph, and
 (2) no assignment of states to parties may leave every party's assigned
-local factors short of spanning that party's space. The exact verifier
-enumerates assignments depth-first in lexicographic order with saturation
-pruning; the certificate verifier bounds the maximum size of a non-spanning
-subset per party. That bound scans every (d-1)-subset of a party's factors
-with numpy, a chunk of subsets at a time: each chunk is orthonormalized and
-projected in a few batched array operations, and its size is set from k*d so
-that each (chunk, k, d) complex temporary holds about 4096 elements (one
-subset per chunk once k*d alone is larger).
+local factors short of spanning that party's space. One verifier,
+verify_upb, checks (1) and then (2) in two stages. First a certificate
+bounds the maximum size of a non-spanning subset per party; if the bounds
+sum below k, (2) holds. That bound scans every (d-1)-subset of a party's
+factors with numpy, a chunk of subsets at a time: each chunk is
+orthonormalized and projected in a few batched array operations, and its
+size is set from k*d so that each (chunk, k, d) complex temporary holds
+about 4096 elements (one subset per chunk once k*d alone is larger).
+Otherwise a depth-first search enumerates assignments in lexicographic
+order with saturation pruning, until it finds an extension, exhausts the
+assignments, or reaches SEARCH_BUDGET pushes.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadPrime, BudgetExceeded, DimensionMismatch,
-                     EmptyFamily, Inconclusive, NotOrthogonalSet, NotUpb,
-                     SizeMismatch)
+from .errors import (BadPrime, DimensionMismatch, EmptyFamily, Inconclusive,
+                     NotOrthogonalSet, NotUpb, SizeMismatch)
 from .families import (VectorFamily, gen_kcbs, loor_cycle_complement,
                        one_param_family, quadres_local)
 from .graphs import (EdgeColoredGraph, colored_equivalence,
@@ -33,7 +34,8 @@ from .graphs import (EdgeColoredGraph, colored_equivalence,
 from .linalg import (DEFAULT_TOL, Tolerances, as_vector, hermitian_eig,
                      kron_all, partial_transpose)
 
-ASSIGNMENT_BUDGET = 10 ** 7
+SEARCH_BUDGET = 10 ** 6   # _PartySpan.push calls per assignment search
+METHODS = ("exact", "bound", "auto")
 
 STATUS_COMPLETE = "CompleteBasis"
 STATUS_UPB = "UPB"
@@ -276,14 +278,21 @@ class _PartySpan:
 def _find_extension(ps: ProductSet, tol: Tolerances):
     """Depth-first search over state-to-party assignments in lexicographic
     order; returns the witness factors of the first assignment that leaves
-    every party non-spanning, or None."""
+    every party non-spanning, or None. Raises Inconclusive once it has made
+    SEARCH_BUDGET pushes without finishing."""
     n_par = ps.n_parties
     spans = [_PartySpan(d, tol.rank_tol) for d in ps.party_dims]
+    nodes = 0
 
     def rec(state: int):
+        nonlocal nodes
         if state == ps.k:
             return tuple(sp.complement_vector() for sp in spans)
         for m in range(n_par):
+            if nodes == SEARCH_BUDGET:
+                raise Inconclusive("assignment search over budget", k=ps.k,
+                                   nodes=nodes, budget=SEARCH_BUDGET)
+            nodes += 1
             sp = spans[m]
             sp.push(ps.factor(state, m))
             if not sp.saturated:
@@ -304,31 +313,6 @@ def _validated_witness(ps: ProductSet, factors, tol: Tolerances):
         raise NotUpb("extension witness fails orthogonality check",
                      max_overlap=worst)  # pragma: no cover
     return tuple(factors)
-
-
-def verify_upb_exact(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdict:
-    """Exact verdict by exhaustive assignment search.
-
-    Budget: n_parties ** k assignments <= 10^7. Raises NotOrthogonalSet if
-    some pair is orthogonal in no party (checked before the budget, since
-    the pair scan is quadratic), BudgetExceeded above the budget.
-    """
-    return _exact_verdict(ps, tol, _check_condition1(ps, tol))
-
-
-def _exact_verdict(ps: ProductSet, tol: Tolerances, colored) -> UpbVerdict:
-    if ps.n_parties ** ps.k > ASSIGNMENT_BUDGET:
-        raise BudgetExceeded("assignment enumeration over budget",
-                             parties=ps.n_parties, k=ps.k,
-                             budget=ASSIGNMENT_BUDGET)
-    witness = _find_extension(ps, tol)
-    if witness is not None:
-        return UpbVerdict(STATUS_EXTENDIBLE, True,
-                          witness=_validated_witness(ps, witness, tol),
-                          colored_graph=colored)
-    if ps.k >= ps.total_dim:
-        return UpbVerdict(STATUS_COMPLETE, True, colored_graph=colored)
-    return UpbVerdict(STATUS_UPB, True, colored_graph=colored)
 
 
 def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -376,38 +360,43 @@ def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
                                               axis=1).max()))
 
 
-def verify_upb_bound(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdict:
-    """Cardinality-certificate verdict: if the per-party maximum non-spanning
-    sizes sum below k, no covering assignment can exist. Raises Inconclusive
-    when the bound does not close."""
-    return _bound_verdict(ps, tol, _check_condition1(ps, tol))
+def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
+               method: str = "auto") -> UpbVerdict:
+    """Verdict on the (un)extendibility of an orthogonal product set.
 
-
-def _bound_verdict(ps: ProductSet, tol: Tolerances, colored) -> UpbVerdict:
-    cert = []
-    for m, d in enumerate(ps.party_dims):
-        cert.append(max_nonspanning([ps.factor(j, m) for j in range(ps.k)],
-                                    d, tol))
+    Checks condition 1 (raising NotOrthogonalSet with the first pair
+    orthogonal in no party), then the per-party certificate max_nonspanning.
+    If it sums below k no assignment leaves every party non-spanning: the
+    verdict is UPB (CompleteBasis when k >= total_dim) under "exact" and
+    CertifiedUnextendible with the certificate under "auto" and "bound".
+    Otherwise "bound" raises Inconclusive, while "exact" and "auto" run the
+    lexicographic assignment search, returning Extendible with a checked
+    witness or UPB/CompleteBasis, and raising Inconclusive after
+    SEARCH_BUDGET pushes.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, not {method!r}")
+    colored = _check_condition1(ps, tol)
+    cert = [max_nonspanning([ps.factor(j, m) for j in range(ps.k)], d, tol)
+            for m, d in enumerate(ps.party_dims)]
+    unextendible = STATUS_COMPLETE if ps.k >= ps.total_dim else STATUS_UPB
     if sum(cert) < ps.k:
+        if method == "exact":
+            return UpbVerdict(unextendible, True, colored_graph=colored)
         return UpbVerdict(STATUS_CERTIFIED, True, certificate=tuple(cert),
                           colored_graph=colored)
-    raise Inconclusive("non-spanning certificate does not close",
-                       certificate=cert, k=ps.k)
-
-
-def verify_upb_auto(ps: ProductSet, tol: Tolerances = DEFAULT_TOL) -> UpbVerdict:
-    """Certificate verdict, falling back to the exact search when the
-    certificate does not close; condition 1 is checked once for both.
-    Raises Inconclusive when the fallback is over the exact search's
-    budget."""
-    colored = _check_condition1(ps, tol)
+    if method == "bound":
+        raise Inconclusive("non-spanning certificate does not close",
+                           certificate=cert, k=ps.k)
     try:
-        return _bound_verdict(ps, tol, colored)
-    except Inconclusive:
-        if ps.n_parties ** ps.k > ASSIGNMENT_BUDGET:
-            raise Inconclusive("certificate failed and exact search is over "
-                               "budget", parties=ps.n_parties, k=ps.k)
-        return _exact_verdict(ps, tol, colored)
+        witness = _find_extension(ps, tol)
+    except Inconclusive as e:
+        raise Inconclusive(str(e), certificate=cert, **e.details) from None
+    if witness is None:
+        return UpbVerdict(unextendible, True, colored_graph=colored)
+    return UpbVerdict(STATUS_EXTENDIBLE, True,
+                      witness=_validated_witness(ps, witness, tol),
+                      colored_graph=colored)
 
 
 def is_minimal(ps: ProductSet) -> bool:

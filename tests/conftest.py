@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ctxupb.families import genpyramid_local
 from ctxupb.linalg import kron_all
-from ctxupb.upb import assemble_mapped
+from ctxupb.upb import assemble_mapped, product_set
 
 
 @pytest.fixture
@@ -32,6 +34,13 @@ def unit_basis(d, i):
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0
     return v
+
+
+def qubit_basis(n):
+    """Computational basis of n qubits as a product set."""
+    return product_set((2,) * n, [tuple(unit_basis(2, b) for b in bits)
+                                  for bits in itertools.product((0, 1),
+                                                                repeat=n)])
 
 
 def witness_overlap(ps, factors):

@@ -8,7 +8,10 @@ not UPBs: a composite p forces a non-unit multiplier whose party repeats
 its factors with period 3 (or 5), so 6 (or 10) states lie in one plane and
 the set has a product extension (DiVincenzo et al., CMP 238, 379 (2003),
 Lemma 1). Their cases therefore expect `Extendible` with a checked witness
-(p=9) and an `Inconclusive` certificate plus a hand-built witness (p=25).
+under the exact method (p=9) and an `Inconclusive` certificate under the
+bound method plus a hand-built witness (p=25). The bound method never
+searches; the exact and auto methods find a checked p=25 extension too
+(tests/test_upb.py).
 """
 
 import itertools
@@ -30,8 +33,7 @@ from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
 from ctxupb.upb import (assemble_mapped, bound_entangled_state,
                         gencontextual_upb, one_param_upb, party_graphs,
-                        quadres_upb, upb_graph_equivalent, verify_upb_bound,
-                        verify_upb_exact)
+                        quadres_upb, upb_graph_equivalent, verify_upb)
 
 from conftest import genpyramid_25_upb, genpyramid_25_witness, witness_overlap
 
@@ -151,7 +153,7 @@ def verified_upbs():
     for name, build, _ in EXACT_CASES:
         ps = build()
         try:
-            verdict = verify_upb_exact(ps)
+            verdict = verify_upb(ps, method="exact")
         except Exception:
             continue
         if verdict.status in ("UPB", "CertifiedUnextendible"):
@@ -159,7 +161,7 @@ def verified_upbs():
     for name, build, _ in BOUND_CASES:
         ps = build()
         try:
-            verdict = verify_upb_bound(ps)
+            verdict = verify_upb(ps, method="bound")
         except Inconclusive:
             continue
         out[name] = (ps, verdict)
@@ -171,7 +173,7 @@ def verified_upbs():
 def test_c4_exact_verdicts(name, build, expected):
     ps = build()
     t0 = time.monotonic()
-    verdict = verify_upb_exact(ps)
+    verdict = verify_upb(ps, method="exact")
     elapsed = time.monotonic() - t0
     ok = verdict.status == expected and elapsed < 60.0
     if expected == "Extendible":
@@ -191,7 +193,7 @@ def test_c4_bound_certifications(name, build, extension):
     ps = build()
     t0 = time.monotonic()
     try:
-        verdict = verify_upb_bound(ps)
+        verdict = verify_upb(ps, method="bound")
         status, cert = verdict.status, list(verdict.certificate)
     except Inconclusive as e:
         status, cert = "Inconclusive", e.details["certificate"]
@@ -219,7 +221,7 @@ def test_c4_p15_non_upb_with_named_condition():
     ps = assemble_mapped(genpyramid_local(7, 4), tuple(range(1, 8)))
     t0 = time.monotonic()
     with pytest.raises(NotOrthogonalSet) as exc:
-        verify_upb_exact(ps)
+        verify_upb(ps, method="exact")
     elapsed = time.monotonic() - t0
     ok = exc.value.details.get("condition") == 1 and elapsed < 60.0
     report(4, "genpyramid p=15 -> non-UPB naming condition 1", ok)
@@ -305,7 +307,7 @@ def test_c8_oracle_equivalence():
     from test_oracle_random_sets import CASES, oracle_extendible
     disagreements = 0
     for ps in CASES:
-        got = verify_upb_exact(ps).status == "Extendible"
+        got = verify_upb(ps, method="exact").status == "Extendible"
         if got != oracle_extendible(ps):
             disagreements += 1
     ok = disagreements == 0 and len(CASES) == 200
@@ -345,7 +347,7 @@ def test_c9_property_suites():
         partial_transpose(partial_transpose(rho, (3, 3), 1), (3, 3), 1), rho)
     # LEE monotone in restarts
     ps = assemble_mapped(pyramid(), (1, 2))
-    rho = bound_entangled_state(ps, verify_upb_exact(ps)).matrix
+    rho = bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
     v1 = lee_upper_bound(rho, (3, 3), restarts=1, seed=21).value
     v2 = lee_upper_bound(rho, (3, 3), restarts=2, seed=21).value
     ok = v2 <= v1 + 1e-12

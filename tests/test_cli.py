@@ -9,6 +9,8 @@ import pytest
 from ctxupb import cli, jsonio, upb
 from ctxupb.families import one_param_family
 
+from conftest import qubit_basis
+
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "schemas")
 
 
@@ -219,12 +221,19 @@ class TestErrors:
         assert doc["details"]["condition"] == 1
         assert doc["details"]["pair"] == [0, 3]
 
-    def test_inconclusive_over_budget_exit_1(self, capsys):
-        code, out = run_cli(["verify-upb", "genpyramid", "--m", "12",
-                             "--t", "10", "--method", "auto"], capsys)
+    def test_inconclusive_over_budget_exit_1(self, capsys, tmp_path):
+        # complete product basis of five qubits: the certificate does not
+        # close and the search cannot finish inside its node budget
+        path = tmp_path / "qubits5.json"
+        path.write_text(jsonio.dumps(qubit_basis(5).to_json()))
+        code, out = run_cli(["verify-upb", "--in", str(path),
+                             "--method", "auto"], capsys)
         assert code == 1
         doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
         assert doc["error"] == "Inconclusive"
+        assert doc["details"]["nodes"] == doc["details"]["budget"] \
+            == upb.SEARCH_BUDGET
 
     def test_usage_error_exit_2(self, capsys):
         code = cli.run(["family", "one-param"])  # missing --theta
@@ -243,11 +252,16 @@ class TestErrors:
         ["table1", "--seed", "-1", "--restarts", "2"],
         ["alpha", "--in", "{tmp}/fractional_endpoint.json"],
         ["alpha", "--in", "{tmp}/negative_order.json"],
+        ["equiv", "quadres:x", "pyramid"],
+        ["equiv", "genpyramid:a,b", "pyramid"],
+        ["equiv", "gencontextual:1.5", "pyramid"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
             "angle-outside-domain", "three-party-bes", "negative-lee-seed",
             "negative-table1-seed", "fractional-edge-endpoint",
-            "negative-graph-order"])
+            "negative-graph-order", "non-integer-quadres-token",
+            "non-integer-genpyramid-token",
+            "non-integer-gencontextual-token"])
     def test_bad_input_usage_error(self, capsys, tmp_path, argv):
         (tmp_path / "malformed.json").write_text('{"party_dims": [3, 3')
         (tmp_path / "wrong_kind.json").write_text('{"party_dims": [3, 3]}')

@@ -11,7 +11,7 @@ from ctxupb.errors import BadDecomposition, BadSize, DimensionMismatch
 from ctxupb.families import pyramid
 from ctxupb.linalg import hermitian_eig
 from ctxupb.upb import (assemble_mapped, bound_entangled_state, one_param_upb,
-                        verify_upb_exact)
+                        verify_upb)
 
 from conftest import random_unit
 
@@ -24,7 +24,7 @@ def e(d, i):
 
 def pyramid_bes():
     ps = assemble_mapped(pyramid(), (1, 2))
-    return bound_entangled_state(ps, verify_upb_exact(ps)).matrix
+    return bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
 
 
 def max_entangled(d):
@@ -161,7 +161,7 @@ class TestLeeUpperBound:
         # converged optimum for the Tiles UPB (the 3pi/4 member); Table 1
         # gives 0.06519
         ps = one_param_upb(3 * math.pi / 4)
-        rho = bound_entangled_state(ps, verify_upb_exact(ps)).matrix
+        rho = bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
         res = lee_upper_bound(rho, (3, 3), restarts=8, seed=7)
         assert res.value == pytest.approx(0.065191, abs=2e-4)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ctxupb.linalg import kron_all
-from ctxupb.upb import ProductSet, verify_upb_exact
+from ctxupb.upb import ProductSet, verify_upb
 
 N_SETS = 200
 
@@ -159,7 +159,7 @@ def test_generator_produces_orthogonal_sets():
 @pytest.mark.parametrize("idx", range(N_SETS))
 def test_verifier_agrees_with_oracle(idx):
     ps = CASES[idx]
-    verdict = verify_upb_exact(ps)
+    verdict = verify_upb(ps, method="exact")
     got_extendible = verdict.status == "Extendible"
     assert got_extendible == oracle_extendible(ps)
 
@@ -168,4 +168,4 @@ def test_sampling_hits_imply_extendibility():
     rng = np.random.default_rng(4242)
     for ps in CASES[:40]:
         if sampling_finds_witness(rng, ps):
-            assert verify_upb_exact(ps).status == "Extendible"
+            assert verify_upb(ps, method="exact").status == "Extendible"

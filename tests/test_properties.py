@@ -97,10 +97,9 @@ def test_gram_moduli_kcbs_equals_pyramid():
 
 def test_lee_monotone_in_restarts_fixed_seed():
     from ctxupb.families import pyramid as pyr
-    from ctxupb.upb import assemble_mapped, bound_entangled_state, \
-        verify_upb_exact
+    from ctxupb.upb import assemble_mapped, bound_entangled_state, verify_upb
     ps = assemble_mapped(pyr(), (1, 2))
-    rho = bound_entangled_state(ps, verify_upb_exact(ps)).matrix
+    rho = bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
     vals = [lee_upper_bound(rho, (3, 3), restarts=r, seed=13).value
             for r in (1, 2, 3)]
     assert vals[1] <= vals[0] + 1e-12

@@ -4,20 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from ctxupb.errors import (BudgetExceeded, Inconclusive, NotOrthogonalSet,
-                           NotUpb, SizeMismatch)
+from ctxupb.errors import (Inconclusive, NotOrthogonalSet, NotUpb,
+                           SizeMismatch)
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
                              quadres_local)
 from ctxupb.graphs import complement, complete, cycle, is_cycle
 from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
-from ctxupb.upb import (ProductSet, assemble_mapped, bound_entangled_state,
+from ctxupb.upb import (SEARCH_BUDGET, ProductSet, _find_extension,
+                        assemble_mapped, bound_entangled_state,
                         gencontextual_upb, is_minimal, is_ppt,
                         max_nonspanning, one_param_upb, party_graphs,
                         product_set, quadres_upb, upb_graph_equivalent,
-                        verify_upb_bound, verify_upb_exact)
+                        verify_upb)
 
-from conftest import (genpyramid_25_upb, genpyramid_25_witness,
+from conftest import (genpyramid_25_upb, genpyramid_25_witness, qubit_basis,
                       random_unitary, unit_basis as e, witness_overlap)
 
 PENTAGRAM = frozenset({(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)})
@@ -118,16 +119,16 @@ class TestPartyGraphs:
 
 class TestExactVerifier:
     def test_pyramid_is_upb(self):
-        assert verify_upb_exact(pyramid_upb()).status == "UPB"
+        assert verify_upb(pyramid_upb(), method="exact").status == "UPB"
 
     def test_tiles_rep_is_upb(self):
-        assert verify_upb_exact(tiles_rep_upb()).status == "UPB"
+        assert verify_upb(tiles_rep_upb(), method="exact").status == "UPB"
 
     def test_extendible_five_states(self):
         ps = product_set((3, 3), [(e(3, a), e(3, b))
                                   for a, b in [(0, 0), (0, 1), (0, 2),
                                                (1, 0), (1, 1)]])
-        v = verify_upb_exact(ps)
+        v = verify_upb(ps, method="exact")
         assert v.status == "Extendible"
         assert witness_overlap(ps, v.witness) <= 1e-12
         # the deterministic rule picks the all-to-party-A assignment,
@@ -140,27 +141,52 @@ class TestExactVerifier:
     def test_complete_basis(self):
         ps = product_set((3, 3), [(e(3, a), e(3, b))
                                   for a in range(3) for b in range(3)])
-        assert verify_upb_exact(ps).status == "CompleteBasis"
+        assert verify_upb(ps, method="exact").status == "CompleteBasis"
 
     def test_condition1_failure_named_pair(self):
         fam = genpyramid_local(7, 4)  # p = 15
         ps = assemble_mapped(fam, tuple(range(1, 8)))
         with pytest.raises(NotOrthogonalSet) as exc:
-            verify_upb_exact(ps)
+            verify_upb(ps, method="exact")
         assert exc.value.details["condition"] == 1
         assert exc.value.details["pair"] == [0, 3]
 
     def test_budget_guard(self):
+        # the complete product basis of five qubits: every certificate is
+        # 16, and the search cannot finish inside the budget
+        with pytest.raises(Inconclusive) as exc:
+            verify_upb(qubit_basis(5), method="exact")
+        details = exc.value.details
+        assert details["nodes"] == details["budget"] == SEARCH_BUDGET
+        assert details["certificate"] == [16] * 5
+        assert details["k"] == 32
+
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    def test_genpyramid_25_search_finds_extension(self, method):
+        # the certificate does not close (see TestBoundVerifier), so both
+        # methods search and find an extension
         ps = genpyramid_25_upb()
-        with pytest.raises(BudgetExceeded):
-            verify_upb_exact(ps)
+        v = verify_upb(ps, method=method)
+        assert v.status == "Extendible"
+        assert v.certificate is None
+        assert witness_overlap(ps, v.witness) <= DEFAULT_TOL.orth_tol
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            verify_upb(pyramid_upb(), method="fast")
+
+    def test_gencontextual_25_closed_by_certificate(self):
+        # 2^25 assignments, yet the certificate decides it
+        ps = gencontextual_upb(25)
+        assert verify_upb(ps, method="exact").status == "UPB"
+        assert verify_upb(ps, method="bound").certificate == (2, 22)
 
     def test_genpyramid_9_is_extendible_with_verified_witness(self):
         # the composite-p assembly admits a product extension: the party-3
         # factors repeat every three states, so two residue classes fit in
         # one plane and the remaining states hide in the other parties
         ps = assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4))
-        v = verify_upb_exact(ps)
+        v = verify_upb(ps, method="exact")
         assert v.status == "Extendible"
         assert witness_overlap(ps, v.witness) <= 1e-12
 
@@ -170,28 +196,29 @@ class TestExactVerifier:
             sub = ProductSet(ps.party_dims,
                              tuple(st for j, st in enumerate(ps.states)
                                    if j != drop))
-            v = verify_upb_exact(sub)
+            v = verify_upb(sub, method="exact")
             assert v.status == "Extendible"
             assert witness_overlap(sub, v.witness) <= 1e-12
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_gencontextual_exact(self, n):
-        assert verify_upb_exact(gencontextual_upb(n)).status == "UPB"
+        v = verify_upb(gencontextual_upb(n), method="exact")
+        assert v.status == "UPB"
 
     @pytest.mark.parametrize("p", [5, 13])
     def test_quadres_exact(self, p):
-        assert verify_upb_exact(quadres_upb(p)).status == "UPB"
+        assert verify_upb(quadres_upb(p), method="exact").status == "UPB"
 
 
 class TestBoundVerifier:
     def test_gencontextual7_certificate(self):
-        v = verify_upb_bound(gencontextual_upb(7))
+        v = verify_upb(gencontextual_upb(7), method="bound")
         assert v.status == "CertifiedUnextendible"
         assert v.certificate == (2, 4)
 
     @pytest.mark.parametrize("n,cert", [(11, (2, 8)), (13, (2, 10))])
     def test_large_gencontextual_certified(self, n, cert):
-        v = verify_upb_bound(gencontextual_upb(n))
+        v = verify_upb(gencontextual_upb(n), method="bound")
         assert v.status == "CertifiedUnextendible"
         assert v.certificate == cert
 
@@ -201,7 +228,7 @@ class TestBoundVerifier:
         # extendible, see test_genpyramid_25_explicit_witness)
         ps = genpyramid_25_upb()
         with pytest.raises(Inconclusive) as exc:
-            verify_upb_bound(ps)
+            verify_upb(ps, method="bound")
         cert = exc.value.details["certificate"]
         assert sum(cert) == 40
         assert cert[4] == cert[9] == 10
@@ -211,15 +238,22 @@ class TestBoundVerifier:
         assert witness_overlap(ps, genpyramid_25_witness(ps)) <= 1e-12
 
     def test_exact_and_bound_never_disagree(self):
-        for ps in (pyramid_upb(), tiles_rep_upb(), quadres_upb(5),
-                   gencontextual_upb(5), gencontextual_upb(7),
-                   gencontextual_upb(9), quadres_upb(13)):
-            exact = verify_upb_exact(ps).status
+        # the bare search, which never consults the certificate, finds no
+        # extension wherever the certificate closes
+        from test_oracle_random_sets import CASES
+        built = [pyramid_upb(), tiles_rep_upb(), quadres_upb(5),
+                 gencontextual_upb(5), gencontextual_upb(7),
+                 gencontextual_upb(9), quadres_upb(13)]
+        closed = []
+        for ps in built + CASES:
             try:
-                bound = verify_upb_bound(ps).status
+                verify_upb(ps, method="bound")
             except Inconclusive:
                 continue
-            assert (exact == "UPB") == (bound == "CertifiedUnextendible")
+            closed.append(ps)
+        assert len(closed) == len(built) + 67
+        for ps in closed:
+            assert _find_extension(ps, DEFAULT_TOL) is None
 
     def test_collinear_duplicates_counted(self):
         v = np.array([1, 0, 0], dtype=complex)
@@ -383,13 +417,13 @@ class TestBoundEntangledState:
 
     def test_rejects_extendible_verdict(self):
         ps = product_set((3, 3), [(e(3, 0), e(3, 0)), (e(3, 1), e(3, 1))])
-        v = verify_upb_exact(ps)
+        v = verify_upb(ps, method="exact")
         with pytest.raises(NotUpb):
             bound_entangled_state(ps, v)
 
     def test_pyramid_bes_properties(self):
         ps = pyramid_upb()
-        verdict = verify_upb_exact(ps)
+        verdict = verify_upb(ps, method="exact")
         rho = bound_entangled_state(ps, verdict)
         assert rho.matrix.shape == (9, 9)
         assert abs(np.trace(rho.matrix).real - 1.0) <= 1e-12
@@ -410,7 +444,7 @@ class TestBoundEntangledState:
         # entangled; certified here by a positive lee upper bound gap from
         # every product state (spot check: overlap with random products < 1)
         ps = pyramid_upb()
-        rho = bound_entangled_state(ps, verify_upb_exact(ps))
+        rho = bound_entangled_state(ps, verify_upb(ps, method="exact"))
         rng = np.random.default_rng(5)
         for _ in range(50):
             a = rng.normal(size=3) + 1j * rng.normal(size=3)
