@@ -7,19 +7,20 @@ Verification follows the two graph-theoretic conditions for unextendibility:
 local factors short of spanning that party's space. One verifier,
 verify_upb, checks (1) and then (2) in two stages. First a certificate
 bounds the maximum size of a non-spanning subset per party; if the bounds
-sum below k, (2) holds. That bound scans every (d-1)-subset of a party's
-factors with numpy, a chunk of subsets at a time: each chunk is
-orthonormalized and projected in a few batched array operations, and its
-size is set from k*d so that each (chunk, k, d) complex temporary holds
-about 4096 elements (one subset per chunk once k*d alone is larger).
-Otherwise a depth-first search enumerates assignments in lexicographic
+sum below k, (2) holds. That bound (max_nonspanning) walks the prefix
+tree of each party's (d-1)-subsets: a node holds the residuals of all k
+factors against the span of its prefix, shared by the subsets below it,
+and each new member removes one coordinate by a Householder reflection.
+Subtrees are expanded breadth first in numpy batches of at most
+SCAN_BUDGET complex elements in all.
+If they do not, a depth-first search enumerates assignments in lexicographic
 order with saturation pruning, until it finds an extension, exhausts the
 assignments, or reaches SEARCH_BUDGET pushes.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,7 @@ from .linalg import (DEFAULT_TOL, Tolerances, as_vector, hermitian_eig,
                      kron_all, partial_transpose)
 
 SEARCH_BUDGET = 10 ** 6   # _PartySpan.push calls per assignment search
+SCAN_BUDGET = 1 << 16     # complex elements max_nonspanning holds at once
 METHODS = ("exact", "bound", "auto")
 
 STATUS_COMPLETE = "CompleteBasis"
@@ -49,6 +51,9 @@ class ProductSet:
     states: tuple  # each state: tuple of per-party unit vectors
 
     def __post_init__(self):
+        if any(d < 1 for d in self.party_dims):
+            raise DimensionMismatch("party dimension below 1",
+                                    dims=list(self.party_dims))
         for si, st in enumerate(self.states):
             if len(st) != len(self.party_dims):
                 raise DimensionMismatch("state has wrong party count", state=si)
@@ -56,7 +61,7 @@ class ProductSet:
                 if f.shape != (d,):
                     raise DimensionMismatch("local factor has wrong dimension",
                                             state=si, party=m, dim=d)
-                if abs(np.linalg.norm(f) - 1.0) > 1e-9:
+                if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:   # NaN fails
                     raise DimensionMismatch("local factor not unit norm",
                                             state=si, party=m)
 
@@ -309,55 +314,115 @@ def _validated_witness(ps: ProductSet, factors, tol: Tolerances):
     w = kron_all(factors)
     overlaps = np.abs(ps.full_vectors().conj() @ w)
     worst = float(np.max(overlaps))
-    if worst > tol.orth_tol:
+    if not worst <= tol.orth_tol:
         raise NotUpb("extension witness fails orthogonality check",
                      max_overlap=worst)  # pragma: no cover
     return tuple(factors)
 
 
+def _child_residuals(res, parent, members, norms):
+    """Residuals at the child nodes that add member members[c] to node
+    parent[c] of res, an array (nodes, coords, k) of residuals. The member's
+    residual, of norm norms[c] > rank_tol, spans the new direction: one
+    Householder reflection maps it onto the last coordinate, which is
+    dropped, so the children have coords - 1 coordinates."""
+    w = res[parent, :, members]
+    top = w[:, -1]
+    mag = np.abs(top)
+    phase = np.ones_like(top)
+    np.divide(top, mag, out=phase, where=mag > 0)
+    # reflector u = w + phase |w| e_last, u^H u = 2 |w| (|w| + |top|); the
+    # first coords-1 entries of H x are x - w vx, vx = u^H x / (u^H u / 2)
+    v = w.conj()
+    v[:, -1] += phase.conj() * norms
+    v /= (norms * (norms + mag))[:, None]
+    child = np.take(res[:, :-1], parent, axis=0)
+    vx = res[parent, -1]
+    vx *= v[:, -1:]
+    vx += (v[:, None, :-1] @ child)[:, 0]
+    for q in range(child.shape[1]):
+        child[:, q] -= w[:, q, None] * vx
+    return child
+
+
 def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
     """Largest number of the given vectors lying inside a common proper
-    subspace; exact because any non-spanning subset sits inside the span of
-    at most dim-1 of its own members.
+    subspace.
 
-    Scans every (dim-1)-subset (all k vectors when k < dim) in lexicographic
-    chunks. Each chunk is orthonormalized at once by modified Gram-Schmidt in
-    subset order, dropping residuals of norm <= rank_tol; then all k vectors
-    are projected onto every subset's span with two batched matmuls and the
-    residuals <= rank_tol are counted. The chunk holds 4096 // (k*dim)
-    subsets (at least one), so each (chunk, k, dim) complex temporary holds
-    about 4096 elements whatever the number of subsets.
+    Such a subspace can be taken to be spanned by r = min(dim-1, k) linearly
+    independent members of the set; if no r members are independent (up to
+    rank_tol), all k vectors lie in a proper subspace. So the scan walks the
+    prefix tree of r-subsets i_1 < ... < i_r of independent members. A node
+    holds the residuals of all k vectors against the span of its prefix,
+    shared by every subset below it. A child adds a member whose residual
+    norm is above rank_tol: one Householder reflection maps that residual
+    onto the last coordinate, which is dropped, so residuals at depth t have
+    dim-t coordinates. A member at or below rank_tol adds no direction, and
+    its subtree is skipped: its spans lie inside spans of independent
+    members. A leaf counts the residuals of norm at most rank_tol.
+
+    The tree is expanded breadth first, one numpy batch for the subtrees of
+    a run of nodes, when every two consecutive levels of those subtrees (k
+    rows of residuals plus two rows of temporaries per node) fit together in
+    what is left of SCAN_BUDGET complex elements beside the levels held
+    above them. Larger runs are split, and a node whose subtree alone does
+    not fit has its children computed without their subtrees.
     """
     k = len(vectors)
-    vecs = np.array([as_vector(v) for v in vectors])
     r = min(dim - 1, k)
     if r <= 0:
         return 0
-    chunk = max(1, 4096 // (k * dim))
-    flat = itertools.chain.from_iterable(itertools.combinations(range(k), r))
     best = 0
-    while True:
-        subsets = np.fromiter(itertools.islice(flat, chunk * r),
-                              dtype=np.intp).reshape(-1, r)
-        if not subsets.size:
-            return best
-        # Modified Gram-Schmidt, one member of every subset per step: once
-        # member i is normalized (or dropped as zero), members i+1.. lose
-        # their component along it, in the same order as a per-subset loop.
-        rest = vecs[subsets]
-        basis = np.zeros_like(rest)
-        for i in range(r):
-            w = rest[:, i]
-            n = np.linalg.norm(w, axis=1)
-            keep = n > tol.rank_tol
-            basis[keep, i] = w[keep] / n[keep, None]
-            b = basis[:, i, None]
-            tail = rest[:, i + 1:]
-            tail -= np.sum(b.conj() * tail, axis=2)[:, :, None] * b
-        proj = vecs - (vecs @ basis.conj().transpose(0, 2, 1)) @ basis
-        residues = np.linalg.norm(proj, axis=2)
-        best = max(best, int(np.count_nonzero(residues <= tol.rank_tol,
-                                              axis=1).max()))
+
+    @functools.lru_cache(maxsize=None)
+    def level_sizes(depth, last):
+        levels, rem = r - depth, k - 1 - last
+        return np.array([math.comb(rem - levels + s, s) * k
+                         * (dim - depth - s + 2) for s in range(levels + 1)])
+
+    def peak(sizes):
+        return (sizes[:-1] + sizes[1:]).max()
+
+    def scan(level, lasts, depth, avail):
+        # level: residuals (nodes, dim-depth, k) of nodes at `depth` whose
+        # prefixes end with `lasts`; avail: complex elements it may add
+        nonlocal best
+        fits = False
+        while depth < r:
+            if not fits:
+                rest = avail - level.size
+                sizes = [level_sizes(depth, i) for i in lasts.tolist()]
+                if peak(sum(sizes)) <= avail:
+                    fits = True
+                elif len(lasts) > 1:
+                    start, run = 0, 0
+                    for i, size in enumerate(sizes):
+                        if i > start and peak(run + size) > rest:
+                            scan(level[start:i], lasts[start:i], depth, rest)
+                            start, run = i, 0
+                        run = run + size
+                    scan(level[start:], lasts[start:], depth, rest)
+                    return
+                else:
+                    avail = rest   # one node: compute its children alone
+            # children: members j > last that leave room to reach depth r
+            counts = k - (r - depth) - lasts
+            parent = np.repeat(np.arange(len(lasts)), counts)
+            members = np.arange(parent.size) - np.repeat(
+                np.cumsum(counts) - counts - lasts - 1, counts)
+            norms = np.linalg.norm(level[parent, :, members], axis=1)
+            grow = norms > tol.rank_tol
+            if not grow.any():
+                return
+            level = _child_residuals(level, parent[grow], members[grow],
+                                     norms[grow])
+            lasts, depth = members[grow], depth + 1
+        best = max(best, int(np.count_nonzero(
+            np.linalg.norm(level, axis=1) <= tol.rank_tol, axis=1).max()))
+
+    scan(np.array([as_vector(v) for v in vectors]).T[None], np.array([-1]), 0,
+         SCAN_BUDGET)
+    return best or k
 
 
 def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,

@@ -235,6 +235,24 @@ class TestErrors:
         assert doc["details"]["nodes"] == doc["details"]["budget"] \
             == upb.SEARCH_BUDGET
 
+    @pytest.mark.parametrize("command", ["verify-upb", "bes", "lee"])
+    @pytest.mark.parametrize("text,message", [
+        ('{"party_dims": [2, 2], "states": '
+         '[[[[NaN, 0], [0, 0]], [[1, 0], [0, 0]]]]}',
+         "local factor not unit norm"),
+        ('{"party_dims": [0, 3], "states": []}', "party dimension below 1"),
+    ], ids=["nan-factor", "zero-party-dimension"])
+    def test_invalid_product_set_exit_1(self, capsys, tmp_path, command,
+                                        text, message):
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        code, out = run_cli([command, "--in", str(path)], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"] == "DimensionMismatch"
+        assert doc["message"] == message
+
     def test_usage_error_exit_2(self, capsys):
         code = cli.run(["family", "one-param"])  # missing --theta
         assert code == 2

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from ctxupb.errors import (Inconclusive, NotOrthogonalSet, NotUpb,
-                           SizeMismatch)
+from ctxupb import upb
+from ctxupb.errors import (DimensionMismatch, Inconclusive, NotOrthogonalSet,
+                           NotUpb, SizeMismatch)
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
                              quadres_local)
 from ctxupb.graphs import complement, complete, cycle, is_cycle
 from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
 from ctxupb.upb import (SEARCH_BUDGET, ProductSet, _find_extension,
-                        assemble_mapped, bound_entangled_state,
-                        gencontextual_upb, is_minimal, is_ppt,
-                        max_nonspanning, one_param_upb, party_graphs,
+                        _validated_witness, assemble_mapped,
+                        bound_entangled_state, gencontextual_upb, is_minimal,
+                        is_ppt, max_nonspanning, one_param_upb, party_graphs,
                         product_set, quadres_upb, upb_graph_equivalent,
                         verify_upb)
 
@@ -338,6 +339,33 @@ def _degenerate_set(kind, seed):
     return _units(rows), 2
 
 
+def _repeated_rows_set(rng):
+    """Eleven unit vectors in C^5 with exact repeats early in lexicographic
+    order. Rows 1 and 2 copy row 0 and row 4 copies row 3, so subsets such
+    as (0, 1, 2, 3) meet dependent members at depths 1 and 2 before an
+    independent one. Rows 8-10 lie in the plane of rows 0 and 3, so ten
+    rows fit in a 4-space, a subset that ends with the last rows."""
+    rows = _gaussian(rng, 11, 5)
+    rows[1] = rows[2] = rows[0]
+    rows[4] = rows[3]
+    rows[8:] = _gaussian(rng, 3, 2) @ rows[[0, 3]]
+    return _units(rows), 5
+
+
+def _batch_sizes(monkeypatch):
+    """List that collects, for every batched step of the scan, the number
+    of tree nodes whose children the step computes."""
+    sizes = []
+    real = upb._child_residuals
+
+    def spy(res, *args):
+        sizes.append(res.shape[0])
+        return real(res, *args)
+
+    monkeypatch.setattr(upb, "_child_residuals", spy)
+    return sizes
+
+
 def _rotated(ps, seed):
     rng = np.random.default_rng([seed, 7])
     us = [random_unitary(rng, d) for d in ps.party_dims]
@@ -371,18 +399,29 @@ class TestBatchedNonspanningScan:
         assert max_nonspanning(vectors, dim) == len(vectors)
 
     @pytest.mark.parametrize("k,dim", [(12, 4), (9, 5), (16, 3), (14, 6)])
-    def test_scan_spanning_several_chunks(self, k, dim):
-        # a chunk holds 4096 // (k * dim) subsets; these counts exceed one
-        # chunk and are not a multiple of it, and the planted block puts the
-        # largest non-spanning subsets in the last, partial chunk
-        chunk = 4096 // (k * dim)
-        subsets = math.comb(k, dim - 1)
-        assert subsets > chunk and subsets % chunk
+    def test_scan_spanning_several_chunks(self, k, dim, monkeypatch):
+        # budget 0 expands every tree node alone; 2048 batches whole subtrees
+        # of several nodes on these sets, but not the whole tree. The planted
+        # block puts the largest non-spanning subsets last in lexicographic
+        # order.
+        batches = _batch_sizes(monkeypatch)
         rng = np.random.default_rng([k, dim])
         vectors = _planted_set(rng, k, dim, dim + 1, dim - 1)
-        got = max_nonspanning(vectors, dim)
-        assert got == reference_max_nonspanning(vectors, dim)
-        assert got == dim + 1
+        assert reference_max_nonspanning(vectors, dim) == dim + 1
+        for budget in (0, 2048):
+            monkeypatch.setattr(upb, "SCAN_BUDGET", budget)
+            batches.clear()
+            assert max_nonspanning(vectors, dim) == dim + 1
+            assert (max(batches) == 1) == (budget == 0)
+
+    @pytest.mark.parametrize("budget", [0, 2048, upb.SCAN_BUDGET],
+                             ids=["alone", "subtrees", "default"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_rows_under_node_budget(self, seed, budget, monkeypatch):
+        monkeypatch.setattr(upb, "SCAN_BUDGET", budget)
+        vectors, dim = _repeated_rows_set(np.random.default_rng([seed, 3]))
+        assert (max_nonspanning(vectors, dim)
+                == reference_max_nonspanning(vectors, dim) == 10)
 
     @pytest.mark.parametrize("n", range(7, 25, 2))
     def test_rotated_gencontextual_certificate(self, n):
@@ -395,6 +434,60 @@ class TestBatchedNonspanningScan:
     def test_rotated_genpyramid_certificate(self):
         ps = assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4))
         assert _certificate(_rotated(ps, 4)) == [2, 2, 6, 2]
+
+
+def _moved(vectors, dim, seed):
+    """The vectors permuted, each times a unit phase, and all under one
+    random unitary: moves that keep the largest non-spanning subset."""
+    rng = np.random.default_rng([seed, 11])
+    k = len(vectors)
+    phases = np.exp(2j * np.pi * rng.random(k))
+    u = random_unitary(rng, dim)
+    return {"permuted": [vectors[i] for i in rng.permutation(k)],
+            "phased": [z * v for z, v in zip(phases, vectors)],
+            "unitary": [u @ v for v in vectors]}
+
+
+class TestNonspanningInvariance:
+    # a permutation changes which subsets share a tree prefix, so it also
+    # checks the sharing of residuals between them
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["repeated", "planted", "few", "dim1",
+                                      "dim2"])
+    def test_degenerate_sets(self, kind, seed):
+        vectors, dim = _degenerate_set(kind, seed)
+        want = max_nonspanning(vectors, dim)
+        for move, moved in _moved(vectors, dim, seed).items():
+            assert max_nonspanning(moved, dim) == want, move
+
+    @pytest.mark.parametrize("ps,cert", [
+        *((gencontextual_upb(n), [2, n - 3]) for n in range(7, 25, 2)),
+        (quadres_upb(13), [6, 6])],
+        ids=[*(f"gencontextual-{n}" for n in range(7, 25, 2)), "quadres-13"])
+    def test_rotated_product_sets(self, ps, cert):
+        ps = _rotated(ps, ps.k)
+        for m, d in enumerate(ps.party_dims):
+            vectors = [ps.factor(j, m) for j in range(ps.k)]
+            for move, moved in _moved(vectors, d, m).items():
+                assert max_nonspanning(moved, d) == cert[m], move
+
+
+class TestProductSetValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_factor_rejected(self, bad):
+        with pytest.raises(DimensionMismatch, match="not unit norm"):
+            product_set((2, 2), [(np.array([bad, 0]), e(2, 0))])
+
+    @pytest.mark.parametrize("dims", [(0, 3), (2, -1)])
+    def test_party_dimension_below_one_rejected(self, dims):
+        with pytest.raises(DimensionMismatch, match="party dimension"):
+            product_set(dims, [])
+
+    def test_non_finite_witness_rejected(self):
+        ps = product_set((2, 2), [(e(2, 0), e(2, 0))])
+        with pytest.raises(NotUpb, match="witness"):
+            _validated_witness(ps, (np.array([np.nan, 0]), e(2, 1)),
+                               DEFAULT_TOL)
 
 
 class TestMinimality:
