@@ -281,7 +281,7 @@ def cmd_equiv(a):
 def cmd_table1(a):
     _require_search_args(a)
     res = entanglement.table1(seed=a.seed, restarts=a.restarts,
-                              L=a.L if a.L else 16)
+                              L=16 if a.L is None else a.L)
     return res, ("table1", res)
 
 

@@ -1,12 +1,12 @@
 """Linear entropy of entanglement via convex-roof minimization.
 
-Decompositions of a rank-r state are parameterized as isometric mixings of
-the scaled eigenvectors (every decomposition arises this way), and optimized
-by repeated two-element Jacobi mixing sweeps: each sweep mixes every row pair
-once, in tournament rounds of disjoint pairs. A pair's complex 2x2 unitary
-mixing is chosen over mixing angle and relative phase by a coarse grid, then
-refined by a few safeguarded Newton steps on the angle and then on the phase,
-each kept inside the grid cell and stopped at 1e-8 angular resolution.
+Decompositions of a rank-r state are parameterized as isometric mixings
+X = U B of the scaled eigenvectors B (every decomposition of L states
+arises this way from an L x r isometry U), and the convex-roof objective
+sum_i (tr P_i - tr P_i^2 / tr P_i) over the reduced rows P_i is minimized
+over the Stiefel manifold by Riemannian L-BFGS with its closed-form
+gradient (Edelman, Arias & Smith 1998; Roethlisberger, Lehmann & Loss 2009).
+All restarts run as one batch, each with its own line search and history.
 Restart 0 starts from the identity embedding (the bare eigendecomposition),
 the rest from seeded random isometries; restart r draws from the
 counter-derived stream (seed, r), so any execution order enumerates
@@ -24,12 +24,13 @@ import numpy as np
 from .errors import BadDecomposition, BadSize, DimensionMismatch
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, as_vector, partial_trace
 
-GRID_ANGLES = 17
-GRID_PHASES = 16
 EIG_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-12
-FD_STEP = 1e-4
-NEWTON_STEPS = 4
+STOP_DECREASE = 1e-10   # a restart stops once an iteration gains less
+MAX_ITERATIONS = 500
+LBFGS_MEMORY = 8        # stored (step, gradient change) pairs
+ARMIJO = 1e-4           # sufficient-decrease factor of the line search
+MAX_BACKTRACKS = 40     # step halvings before a line search gives up
 
 # reference columns for the five-angle table (strength, lee)
 TABLE1_ROWS = (
@@ -70,9 +71,9 @@ class LeeResult:
     restarts_used: int
     converged: bool
     seed: int
-    # per restart, in restart order: final value and Jacobi sweeps run
+    # per restart, in restart order: final value and L-BFGS iterations run
     restart_values: tuple = field(default=(), repr=False, compare=False)
-    sweeps: tuple = field(default=(), repr=False, compare=False)
+    iterations: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"value": self.value, "restarts_used": self.restarts_used,
@@ -110,178 +111,143 @@ def decomposition_value(rho, dims: tuple[int, int], d: Decomposition,
                      for w, s in zip(d.weights, d.states)))
 
 
-def _round_robin(L: int):
-    """Tournament schedule: every row pair exactly once, in rounds of
-    disjoint pairs. Odd L plays the circle method on L+1 slots; pairs with
-    the phantom row L are byes and are left out."""
-    n = L + L % 2
-    xs = list(range(n))
-    rounds = []
-    for _ in range(n - 1):
-        rnd = [(min(a, b), max(a, b))
-               for a, b in ((xs[k], xs[n - 1 - k]) for k in range(n // 2))
-               if max(a, b) < L]
-        if rnd:
-            rounds.append(rnd)
-        xs = [xs[0]] + [xs[-1]] + xs[1:-1]
-    return rounds
+def _tangent(U, Z):
+    """Project Z onto the tangent space of the Stiefel manifold at U:
+    Z - U herm(U^H Z)."""
+    A = U.conj().swapaxes(-1, -2) @ Z
+    return Z - U @ ((A + A.conj().swapaxes(-1, -2)) / 2)
 
 
-def _newton_min(fun, x, lo, hi, tol):
-    """Batched safeguarded Newton descent from x, kept inside [lo, hi]
-    elementwise, in at most NEWTON_STEPS steps.
+def _inner(A, B):
+    """Real inner product Re tr(A^H B) per leading index."""
+    return np.einsum('...ij,...ij->...', A.conj(), B).real
 
-    f' and f'' are central differences of fun at x-h, x, x+h, taken in one
-    stacked call. Where f'' <= 0 the step goes to the downhill end of the
-    interval. An element stops once its step is at most tol, or undoes its
-    last step and stops once that step did not lower fun; so each element's
-    path does not depend on the rest of the batch.
+
+def _retract(Y):
+    """Phase-fixed QR: the isometry with a real positive R diagonal."""
+    Q, R = np.linalg.qr(Y)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
+
+
+def _roof(U, B, da: int, db: int):
+    """Convex-roof objective f(U) = sum_i g(X_i) at rows X = U B, and its
+    Euclidean gradient in U.
+
+    g(M) = t - s/t for the da x db reshaped row M with P = M M^H, t = tr P,
+    s = tr P^2; dg/dM-bar = M (1 + s/t^2) - 2 P M / t. Rows with t <= 1e-30
+    contribute 0 to both.
     """
-    h = FD_STEP
-    offsets = np.array([-h, 0.0, h]).reshape((3,) + (1,) * x.ndim)
-    live = np.ones(x.shape, dtype=bool)
-    x_prev, f_prev = x, np.inf
-    for _ in range(NEWTON_STEPS):
-        fm, f0, fp = fun(x + offsets)
-        undo = live & (f0 >= f_prev)
-        x = np.where(undo, x_prev, x)
-        live &= ~undo
-        grad = (fp - fm) / (2 * h)
-        curv = (fp - 2 * f0 + fm) / (h * h)
-        convex = curv > 0
-        newton = -grad / np.where(convex, curv, 1.0)
-        downhill = np.where(grad > 0, lo, hi) - x
-        xn = np.clip(x + np.where(convex, newton, downhill), lo, hi)
-        live &= np.abs(xn - x) > tol
-        x_prev, f_prev = x, f0
-        x = np.where(live, xn, x)
-        if not live.any():
-            break
-    return x
-
-
-def _row_objective(X, da: int, db: int):
-    """Per-row convex-roof contribution of unnormalized rows x:
-    ||x||^2 * S_l of the normalized reduction, evaluated without dividing by
-    the weight."""
+    X = U @ B
     M = X.reshape(X.shape[:-1] + (da, db))
-    P = M @ np.swapaxes(M.conj(), -1, -2)
-    tr = np.einsum('...aa->...', P).real
-    tr2 = np.einsum('...ab,...ba->...', P, P).real
-    return np.where(tr > 1e-30, tr - tr2 / np.maximum(tr, 1e-300), 0.0)
+    P = M @ M.conj().swapaxes(-1, -2)
+    t = np.einsum('...aa->...', P).real
+    s = np.einsum('...ab,...ba->...', P, P).real
+    live = t > 1e-30
+    t = np.where(live, t, 1.0)
+    f = np.where(live, t - s / t, 0.0).sum(axis=-1)
+    dM = (M * (1 + s / t ** 2)[..., None, None]
+          - 2 * (P @ M) / t[..., None, None])
+    dM = np.where(live[..., None, None], dM, 0.0)
+    return f, 2 * dM.reshape(X.shape) @ B.conj().T
 
 
-def _jacobi_sweep(X, da, db, rounds, angs, phis, angle_tol):
-    """One sweep of pairwise 2x2 mixings over the tournament schedule.
+def _lbfgs_direction(g, S, Y):
+    """Two-loop recursion for -H g. S, Y hold the stored pairs, oldest
+    first; pairs without positive curvature are skipped, and the initial
+    scaling comes from the newest pair that has it (1 when none has)."""
+    sy = _inner(S, Y)
+    ok = sy > 1e-300
+    rho = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
+    ratio = sy / np.where(ok, _inner(Y, Y), 1.0)
+    q = g.copy()
+    alpha = np.zeros_like(rho)
+    gamma = np.ones(len(g))
+    for k in range(S.shape[1]):
+        gamma = np.where(ok[:, k], ratio[:, k], gamma)
+    for k in reversed(range(S.shape[1])):
+        alpha[:, k] = rho[:, k] * _inner(S[:, k], q)
+        q -= alpha[:, k, None, None] * Y[:, k]
+    q *= gamma[:, None, None]
+    for k in range(S.shape[1]):
+        beta = rho[:, k] * _inner(Y[:, k], q)
+        q += (alpha[:, k] - beta)[:, None, None] * S[:, k]
+    return -q
 
-    X has shape (R, L, D) and is updated in place; each restart slice is
-    treated independently, so results match one-at-a-time execution.
+
+def _minimize(U, B, da: int, db: int):
+    """Batched Riemannian L-BFGS over isometries U (R, L, r).
+
+    Each restart takes Armijo backtracking steps along its own two-loop
+    direction, retracted by phase-fixed QR, and moves its history pairs to
+    the new point by tangent projection. It stops once an iteration lowers
+    its value by less than STOP_DECREASE, or after MAX_ITERATIONS. Every
+    operation acts on each restart separately, so a restart's path does not
+    depend on the rest of the batch.
+    Returns the final isometries, values, iteration counts and converged
+    flags.
     """
-    R = X.shape[0]
-    nga, ngp = len(angs), len(phis)
-    da_step = angs[1] - angs[0]
-    dp_step = phis[1] - phis[0]
-    cga, sga = np.cos(angs), np.sin(angs)
-    czg, szg = np.cos(phis), np.sin(phis)
-    for rnd in rounds:
-        ii = np.array([p[0] for p in rnd])
-        jj = np.array([p[1] for p in rnd])
-        Mi = X[:, ii, :].reshape(R, len(rnd), da, db)
-        Mj = X[:, jj, :].reshape(R, len(rnd), da, db)
-        A = np.einsum('rpab,rpcb->rpac', Mi, Mi.conj())
-        B = np.einsum('rpab,rpcb->rpac', Mj, Mj.conj())
-        C = np.einsum('rpab,rpcb->rpac', Mi, Mj.conj())
-        trA = np.einsum('rpaa->rp', A).real
-        trB = np.einsum('rpaa->rp', B).real
-        tC = np.einsum('rpaa->rp', C)
-        trA2 = np.einsum('rpab,rpba->rp', A, A).real
-        trB2 = np.einsum('rpab,rpba->rp', B, B).real
-        trAB2 = 2 * np.einsum('rpab,rpba->rp', A, B).real
-        tC2 = np.einsum('rpab,rpba->rp', C, C)
-        trCC2 = 2 * np.einsum('rpab,rpab->rp', C, C.conj()).real
-        tAC4 = 4 * np.einsum('rpab,rpba->rp', A, C)
-        tBC4 = 4 * np.einsum('rpab,rpba->rp', B, C)
-        S = trA + trB
-        reC, imC = tC.real, tC.imag
-        reC22, imC22 = 2 * tC2.real, 2 * tC2.imag
-        reAC4, imAC4 = tAC4.real, tAC4.imag
-        reBC4, imBC4 = tBC4.real, tBC4.imag
-
-        def pair_obj(c, s, cz, sz, scal):
-            (trA_, trB_, S_, trA2_, trB2_, trAB2_, trCC2_,
-             reC_, imC_, reC22_, imC22_, reAC4_, imAC4_, reBC4_, imBC4_) = scal
-            al = c * c
-            be = s * s
-            ga = c * s
-            rZC = cz * reC_ + sz * imC_
-            rZ2 = (cz * cz - sz * sz) * reC22_ + (2 * sz * cz) * imC22_
-            rZAC = cz * reAC4_ + sz * imAC4_
-            rZBC = cz * reBC4_ + sz * imBC4_
-            trP = al * trA_ + be * trB_ + 2 * ga * rZC
-            trQ = S_ - trP
-            gam2 = ga * ga * (rZ2 + trCC2_)
-            ab2 = al * be * trAB2_
-            trP2 = al * al * trA2_ + be * be * trB2_ + gam2 + ab2 + ga * (al * rZAC + be * rZBC)
-            trQ2 = be * be * trA2_ + al * al * trB2_ + gam2 + ab2 - ga * (be * rZAC + al * rZBC)
-            fP = trP - trP2 / (trP + 1e-300)
-            fQ = trQ - trQ2 / (trQ + 1e-300)
-            return np.where(trP > 1e-30, fP, 0.0) + np.where(trQ > 1e-30, fQ, 0.0)
-
-        flat_scal = (trA, trB, S, trA2, trB2, trAB2, trCC2,
-                     reC, imC, reC22, imC22, reAC4, imAC4, reBC4, imBC4)
-        grid_scal = tuple(x[:, :, None, None] for x in flat_scal)
-        gv = pair_obj(cga[:, None], sga[:, None], czg[None, :], szg[None, :],
-                      grid_scal)
-        base = gv[:, :, nga // 2, 0]     # angle 0: identity mixing
-        flat_gv = gv.reshape(R, len(rnd), -1)
-        idx = flat_gv.argmin(axis=2)
-        gmin = flat_gv.min(axis=2)
-        a_g = angs[idx // ngp]
-        p_g = phis[idx % ngp]
-        # refine the angle at the grid phase, then the phase at that angle,
-        # and keep the grid point where refining did not lower the objective
-        czc, szc = np.cos(p_g), np.sin(p_g)
-        a_c = _newton_min(
-            lambda a: pair_obj(np.cos(a), np.sin(a), czc, szc, flat_scal),
-            a_g, a_g - da_step, a_g + da_step, angle_tol)
-        cac, sac = np.cos(a_c), np.sin(a_c)
-        p_c = _newton_min(
-            lambda ph: pair_obj(cac, sac, np.cos(ph), np.sin(ph), flat_scal),
-            p_g, p_g - dp_step, p_g + dp_step, angle_tol)
-        gopt = pair_obj(np.cos(a_c), np.sin(a_c), np.cos(p_c), np.sin(p_c),
-                        flat_scal)
-        worse = gopt > gmin
-        a_c = np.where(worse, a_g, a_c)
-        p_c = np.where(worse, p_g, p_c)
-        gopt = np.minimum(gopt, gmin)
-        do = (base - gopt) > 1e-15
-        if np.any(do):
-            c = np.cos(a_c)[..., None]
-            s = np.sin(a_c)[..., None]
-            z = np.exp(1j * p_c)[..., None]
-            xi = X[:, ii, :]
-            xj = X[:, jj, :]
-            m3 = do[..., None]
-            X[:, ii, :] = np.where(m3, c * xi + s * z * xj, xi)
-            X[:, jj, :] = np.where(m3, -s * np.conj(z) * xi + c * xj, xj)
+    R = U.shape[0]
+    f, G = _roof(U, B, da, db)
+    g = _tangent(U, G)
+    S = np.zeros((R, LBFGS_MEMORY) + U.shape[1:], dtype=complex)
+    Y = np.zeros_like(S)
+    iterations = np.zeros(R, dtype=int)
+    converged = np.zeros(R, dtype=bool)
+    active = np.arange(R)
+    for _ in range(MAX_ITERATIONS):
+        Ua, fa, ga = U[active], f[active], g[active]
+        d = _lbfgs_direction(ga, S[active], Y[active])
+        slope = _inner(ga, d)
+        step = np.ones(active.size)
+        Un, fn, Gn = Ua.copy(), fa.copy(), np.zeros_like(Ua)
+        todo = np.arange(active.size)
+        for _ in range(MAX_BACKTRACKS):
+            Ut = _retract(Ua[todo] + step[todo, None, None] * d[todo])
+            ft, Gt = _roof(Ut, B, da, db)
+            ok = ft <= fa[todo] + ARMIJO * step[todo] * slope[todo]
+            acc = todo[ok]
+            Un[acc], fn[acc], Gn[acc] = Ut[ok], ft[ok], Gt[ok]
+            todo = todo[~ok]
+            if todo.size == 0:
+                break
+            step[todo] /= 2
+        # a restart whose search failed has fn == fa and stops below, so its
+        # history and gradient are not used again
+        gn = _tangent(Un, Gn)
+        S[active] = np.concatenate(
+            [_tangent(Un[:, None], S[active, 1:]),
+             _tangent(Un, step[:, None, None] * d)[:, None]], axis=1)
+        Y[active] = np.concatenate(
+            [_tangent(Un[:, None], Y[active, 1:]),
+             (gn - _tangent(Un, ga))[:, None]], axis=1)
+        U[active], f[active], g[active] = Un, fn, gn
+        iterations[active] += 1
+        done = (fa - fn) < STOP_DECREASE
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return U, f, iterations, converged
 
 
 def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
-                    restarts: int = 64, seed: int = 7,
-                    sweep_tol: float = 1e-10, max_sweeps: int = 500,
-                    angle_tol: float = 1e-8) -> LeeResult:
+                    restarts: int = 64, seed: int = 7) -> LeeResult:
     """Convex-roof upper bound on the linear entropy of entanglement.
 
-    L defaults to r^2 for a rank-r state. Each restart sweeps until its own
-    last-sweep improvement drops below sweep_tol; the minimum over restarts
-    wins, ties broken by lowest restart index. angle_tol is the angular
-    resolution at which a pair's Newton refinement stops.
+    L defaults to r^2 for a rank-r state. Every restart is minimized by
+    Riemannian L-BFGS over isometries (see `_minimize`) until an iteration
+    lowers its value by less than STOP_DECREASE or MAX_ITERATIONS is
+    reached; the minimum over restarts wins, ties broken by lowest restart
+    index.
     """
     m = as_matrix(rho)
     da, db = dims
     if m.shape != (da * db, da * db):
         raise DimensionMismatch("state does not match party dims",
                                 shape=list(m.shape), dims=[da, db])
+    if restarts < 1:
+        raise BadSize("restarts below 1", restarts=restarts)
     lam, E = np.linalg.eigh(m)
     keep = lam > EIG_FLOOR
     lam = lam[keep]
@@ -294,41 +260,17 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     base_rows = (np.sqrt(lam)[:, None] * E.T).astype(complex)
 
     R = restarts
-    X = np.zeros((R, L, da * db), dtype=complex)
-    for rr in range(R):
-        if rr == 0:
-            U = np.zeros((L, r), dtype=complex)
-            U[:r, :r] = np.eye(r)
-        else:
-            rng = np.random.default_rng([seed, rr])
-            G = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
-            U, _ = np.linalg.qr(G)
-        X[rr] = U @ base_rows
+    U = np.zeros((R, L, r), dtype=complex)
+    U[0, :r, :r] = np.eye(r)
+    for rr in range(1, R):
+        rng = np.random.default_rng([seed, rr])
+        U[rr] = _retract(rng.normal(size=(L, r))
+                         + 1j * rng.normal(size=(L, r)))
 
-    rounds = _round_robin(L)
-    angs = np.linspace(-np.pi / 2, np.pi / 2, GRID_ANGLES)
-    phis = np.linspace(0.0, 2 * np.pi, GRID_PHASES, endpoint=False)
-
-    vals = _row_objective(X, da, db).sum(axis=1)
-    converged = np.zeros(R, dtype=bool)
-    sweeps = np.zeros(R, dtype=int)
-    active = np.arange(R)
-    for _ in range(max_sweeps):
-        Xa = X[active]
-        _jacobi_sweep(Xa, da, db, rounds, angs, phis, angle_tol)
-        X[active] = Xa
-        sweeps[active] += 1
-        new = _row_objective(Xa, da, db).sum(axis=1)
-        done = (vals[active] - new) < sweep_tol
-        vals[active] = new
-        converged[active[done]] = True
-        active = active[~done]
-        if active.size == 0:
-            break
-
+    U, vals, iterations, converged = _minimize(U, base_rows, da, db)
     vals = np.maximum(vals, 0.0)
     best_idx = int(vals.argmin())
-    rows = X[best_idx]
+    rows = U[best_idx] @ base_rows
     weights = np.linalg.norm(rows, axis=1) ** 2
     keep_rows = weights > WEIGHT_FLOOR
     states = tuple(rows[i] / math.sqrt(weights[i])
@@ -337,7 +279,7 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     return LeeResult(float(vals[best_idx]), decomp, R,
                      bool(converged[best_idx]), seed,
                      restart_values=tuple(float(v) for v in vals),
-                     sweeps=tuple(int(n) for n in sweeps))
+                     iterations=tuple(int(n) for n in iterations))
 
 
 def table1(seed: int = 7, restarts: int = 64, L: int = 16,

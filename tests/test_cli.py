@@ -253,6 +253,18 @@ class TestErrors:
         assert doc["error"] == "DimensionMismatch"
         assert doc["message"] == message
 
+    @pytest.mark.parametrize("argv", [
+        ["lee", "pyramid", "--restarts", "2", "--L", "0"],
+        ["table1", "--restarts", "1", "--L", "0"],
+    ], ids=["lee", "table1"])
+    def test_zero_decomposition_size_exit_1(self, capsys, argv):
+        code, out = run_cli(argv, capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"] == "BadSize"
+        assert doc["details"]["L"] == 0
+
     def test_usage_error_exit_2(self, capsys):
         code = cli.run(["family", "one-param"])  # missing --theta
         assert code == 2

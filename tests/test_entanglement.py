@@ -1,12 +1,12 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ctxupb.entanglement import (Decomposition, _newton_min, _round_robin,
-                                 decomposition_value, lee_upper_bound,
-                                 linear_entropy, pure_lee_term)
+from ctxupb.entanglement import (TABLE1_ROWS, Decomposition, _inner, _retract,
+                                 _roof, _tangent, decomposition_value,
+                                 lee_upper_bound, linear_entropy,
+                                 pure_lee_term, table1)
 from ctxupb.errors import BadDecomposition, BadSize, DimensionMismatch
 from ctxupb.families import pyramid
 from ctxupb.linalg import hermitian_eig
@@ -170,53 +170,70 @@ class TestLeeUpperBound:
         one = lee_upper_bound(rho, (3, 3), L=5, restarts=1, seed=7)
         four = lee_upper_bound(rho, (3, 3), L=5, restarts=4, seed=7)
         eight = lee_upper_bound(rho, (3, 3), L=5, restarts=8, seed=7)
-        assert one.sweeps[0] == eight.sweeps[0]
+        assert one.iterations[0] == eight.iterations[0]
         assert abs(one.restart_values[0] - eight.restart_values[0]) <= 1e-12
-        assert four.sweeps == eight.sweeps[:4]
+        assert four.iterations == eight.iterations[:4]
         assert np.allclose(four.restart_values, eight.restart_values[:4],
                            rtol=0, atol=1e-12)
-        assert len(eight.sweeps) == len(eight.restart_values) == 8
-        assert all(1 <= n <= 500 for n in eight.sweeps)
+        assert len(eight.iterations) == len(eight.restart_values) == 8
+        assert all(1 <= n <= 500 for n in eight.iterations)
         assert eight.value == min(eight.restart_values)
         assert "restart_values" not in eight.to_json()
-        assert "sweeps" not in eight.to_json()
+        assert "iterations" not in eight.to_json()
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(BadSize):
+            lee_upper_bound(pyramid_bes(), (3, 3), restarts=0)
+
+    def test_decomposition_reconstructs_state(self):
+        rho = pyramid_bes()
+        res = lee_upper_bound(rho, (3, 3), L=9, restarts=4, seed=7)
+        assert np.max(np.abs(res.best.mixture() - rho)) <= 1e-12
 
 
-class TestRoundRobin:
-    @pytest.mark.parametrize("L", range(1, 18))
-    def test_every_pair_once_in_disjoint_rounds(self, L):
-        rounds = _round_robin(L)
-        pairs = sorted(p for rnd in rounds for p in rnd)
-        assert pairs == list(itertools.combinations(range(L), 2))
-        for rnd in rounds:
-            assert rnd
-            rows = [i for pair in rnd for i in pair]
-            assert len(rows) == len(set(rows))
+class TestRoofGradient:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_matches_central_differences(self, rng, dims, zero_row):
+        da, db = dims
+        r, L = 3, 6
+        B = rng.normal(size=(r, da * db)) + 1j * rng.normal(size=(r, da * db))
+        U = _retract(rng.normal(size=(4, L, r))
+                     + 1j * rng.normal(size=(4, L, r)))
+        if zero_row:
+            # row L-1 of U (and so of X = U B) is zero; U stays an isometry
+            U[:, :-1] = _retract(U[:, :-1])
+            U[:, -1] = 0
+        f, G = _roof(U, B, da, db)
+        Z = rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape)
+        xi = _tangent(U, Z)
+        A = U.conj().swapaxes(-1, -2) @ xi        # tangent: U^H xi skew
+        assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) <= 1e-12
+        h = 1e-6
+        fd = (_roof(U + h * xi, B, da, db)[0]
+              - _roof(U - h * xi, B, da, db)[0]) / (2 * h)
+        scale = np.max(np.abs(fd)) + 1.0
+        assert np.max(np.abs(fd - _inner(G, xi))) <= 1e-7 * scale
+        assert np.max(np.abs(fd - _inner(_tangent(U, G), xi))) <= 1e-7 * scale
+        if zero_row:
+            assert np.all(G[:, -1] == 0)
 
 
-class TestNewtonMin:
-    @staticmethod
-    def run(x0, lo, hi, centre):
-        # 1 - cos(x - centre): minimum at centre, concave beyond pi/2 of it
-        centre = np.asarray(centre)
-        return _newton_min(lambda x: 1 - np.cos(x - centre),
-                           np.asarray(x0), np.asarray(lo), np.asarray(hi),
-                           1e-8)
+@pytest.fixture(scope="module")
+def table1_lee():
+    rows = table1(seed=7, restarts=64, L=16)["rows"]
+    ps = one_param_upb(5 * math.pi / 12)
+    rho = bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
+    extra = lee_upper_bound(rho, (3, 3), L=16, restarts=64, seed=7)
+    return [row["lee"] for row in rows] + [extra.value]
 
-    def test_descends_inside_bounds(self):
-        x0 = [0.1, 0.1, 3.0, 0.2, 1.2]
-        lo = [-0.1, -0.1, 2.8, 0.0, -1.5]
-        hi = [0.3, 0.3, 3.2, 0.4, 1.5]
-        centre = [0.25, 1.0, 0.0, 0.2, 0.0]
-        x = self.run(x0, lo, hi, centre)
-        assert abs(x[0] - 0.25) <= 1e-8           # converges inside the cell
-        assert x[1] == 0.3                        # stops at the cell edge
-        assert x[2] == 2.8                        # concave: steps downhill
-        assert x[3] == 0.2                        # already at the minimum
-        assert x[4] == 1.2                        # overshooting step undone
-        assert np.all(1 - np.cos(x - centre) <= 1 - np.cos(np.subtract(
-            x0, centre)))
-        for i in range(5):                        # each element on its own
-            alone = self.run(x0[i:i + 1], lo[i:i + 1], hi[i:i + 1],
-                             centre[i:i + 1])
-            assert alone[0] == x[i]
+
+class TestTable1Optima:
+    # converged optima at seed=7, restarts=64, L=16; the last is 5pi/12
+    OPTIMA = (0.0729490, 0.0651913, 0.0633511, 0.0127759, 0.0002857,
+              0.0212397)
+
+    @pytest.mark.parametrize("idx", range(6),
+                             ids=[r[0] for r in TABLE1_ROWS] + ["5pi/12"])
+    def test_optimum(self, table1_lee, idx):
+        assert abs(table1_lee[idx] - self.OPTIMA[idx]) <= 1e-7
