@@ -1,14 +1,19 @@
-"""Command-line surface.
+"""Command-line surface, driven by two tables.
 
-Every command emits a single JSON object (default), CSV where a tabular
-layout exists, or a human-readable rendering with --format pretty. Domain
-errors exit 1 with a machine-readable error object; usage errors exit 2.
+TARGETS maps each named construction to its parameters and to its family
+and UPB builders; build_family, build_upb, the name/--in arguments and the
+equiv name:p1,p2 tokens all resolve through it. COMMANDS gives each
+subcommand its handler, help and arguments. A handler returns its JSON
+result; run() emits it as one JSON object (default), as CSV where
+CSV_LAYOUTS has a layout, or rendered with --format pretty. Domain errors
+exit 1 with a machine-readable error object; usage errors exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -18,78 +23,83 @@ from .errors import DomainError
 from .expr import ExprError, parse_angle
 from .linalg import Tolerances, hermitian_eig, partial_transpose
 
-FAMILY_NAMES = ("one-param", "pyramid", "kcbs", "tiles-rep", "genpyramid",
-                "genkcbs", "loor-complement", "quadres")
-UPB_NAMES = ("one-param", "pyramid", "kcbs", "tiles-rep", "genpyramid",
-             "quadres", "gencontextual")
+# name: (parameters, family builder, UPB builder), None where the name is
+# not a family or not a UPB. The builders look the layer functions up when
+# called, so a wrapper bound in their place (bench/tracer.py) sees the call.
+TARGETS = {
+    "one-param": (("theta",), lambda th: families.one_param_family(th),
+                  lambda th: upb.one_param_upb(th)),
+    "pyramid": ((), lambda: families.pyramid(),
+                lambda: upb.assemble_mapped(families.pyramid(), (1, 2))),
+    "kcbs": ((), lambda: families.kcbs(),
+             lambda: upb.assemble_mapped(families.kcbs(), (1, 2))),
+    "tiles-rep": ((), lambda: families.one_param_family(3 * math.pi / 4),
+                  lambda: upb.one_param_upb(3 * math.pi / 4)),
+    "genpyramid": (("m", "t"), lambda m, t: families.genpyramid_local(m, t),
+                   lambda m, t: upb.assemble_mapped(
+                       families.genpyramid_local(m, t),
+                       tuple(range(1, m + 1)))),
+    "genkcbs": (("n",), lambda n: families.gen_kcbs(n), None),
+    "loor-complement": (("n",), lambda n: families.loor_cycle_complement(n),
+                        None),
+    "quadres": (("p",), lambda p: families.quadres_local(p),
+                lambda p: upb.quadres_upb(p)),
+    "gencontextual": (("n",), None, lambda n: upb.gencontextual_upb(n)),
+}
+FAMILY, UPB = 1, 2   # positions of the builders in a TARGETS entry
+FAMILY_NAMES = tuple(k for k, v in TARGETS.items() if v[FAMILY])
+UPB_NAMES = tuple(k for k, v in TARGETS.items() if v[UPB])
+_KINDS = {FAMILY: ("family", FAMILY_NAMES, families.VectorFamily.from_json),
+          UPB: ("UPB", UPB_NAMES, upb.ProductSet.from_json)}
 
 
 class UsageError(Exception):
     pass
 
 
-def _angle(text: str) -> float:
+def _value(name: str, key: str, value):
+    """Parameter key of target name: theta is an angle expression, the rest
+    ints, given as flags or as equiv token text."""
+    if key == "theta":
+        try:
+            return parse_angle(value)
+        except ExprError as e:
+            raise UsageError(f"bad angle expression: {e}")
+    if isinstance(value, int):
+        return value
     try:
-        return parse_angle(text)
-    except ExprError as e:
-        raise UsageError(f"bad angle expression: {e}")
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{name} token parameter {value!r} is not an "
+                         "integer") from None
 
 
-def build_family(name: str, theta=None, n=None, m=None, t=None, p=None):
-    if name == "one-param":
-        if theta is None:
-            raise UsageError("one-param needs --theta")
-        return families.one_param_family(_angle(theta))
-    if name == "tiles-rep":
-        return families.one_param_family(3 * math.pi / 4)
-    if name == "pyramid":
-        return families.pyramid()
-    if name == "kcbs":
-        return families.kcbs()
-    if name == "genpyramid":
-        if m is None or t is None:
-            raise UsageError("genpyramid needs --m and --t")
-        return families.genpyramid_local(m, t)
-    if name == "genkcbs":
-        if n is None:
-            raise UsageError("genkcbs needs --n")
-        return families.gen_kcbs(n)
-    if name == "loor-complement":
-        if n is None:
-            raise UsageError("loor-complement needs --n")
-        return families.loor_cycle_complement(n)
-    if name == "quadres":
-        if p is None:
-            raise UsageError("quadres needs --p")
-        return families.quadres_local(p)
-    raise UsageError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
+def _build(kind: int, name: str, values):
+    """The family (kind FAMILY) or product set (kind UPB) that name denotes.
+    values maps parameter names to flag values, or is the list of texts of
+    an equiv token name:p1,p2,..."""
+    entry = TARGETS.get(name, ((), None, None))
+    params, builder = entry[0], entry[kind]
+    label, names, _ = _KINDS[kind]
+    if builder is None:
+        raise UsageError(f"unknown {label} {name!r}; choose from {names}")
+    if isinstance(values, list):
+        if values and len(values) != len(params):
+            form = ":".join([name, ",".join(params)]) if params else name
+            raise UsageError(f"{name} token must be written {form}")
+        values = dict(zip(params, values))
+    if any(values.get(k) is None for k in params):
+        raise UsageError(f"{name} needs "
+                         + " and ".join(f"--{k}" for k in params))
+    return builder(*(_value(name, k, values[k]) for k in params))
 
 
-def build_upb(name: str, theta=None, n=None, m=None, t=None, p=None):
-    if name == "pyramid":
-        return upb.assemble_mapped(families.pyramid(), (1, 2))
-    if name == "kcbs":
-        return upb.assemble_mapped(families.kcbs(), (1, 2))
-    if name == "tiles-rep":
-        return upb.one_param_upb(3 * math.pi / 4)
-    if name == "one-param":
-        if theta is None:
-            raise UsageError("one-param needs --theta")
-        return upb.one_param_upb(_angle(theta))
-    if name == "genpyramid":
-        if m is None or t is None:
-            raise UsageError("genpyramid needs --m and --t")
-        fam = families.genpyramid_local(m, t)
-        return upb.assemble_mapped(fam, tuple(range(1, m + 1)))
-    if name == "quadres":
-        if p is None:
-            raise UsageError("quadres needs --p")
-        return upb.quadres_upb(p)
-    if name == "gencontextual":
-        if n is None:
-            raise UsageError("gencontextual needs --n")
-        return upb.gencontextual_upb(n)
-    raise UsageError(f"unknown UPB {name!r}; choose from {UPB_NAMES}")
+def build_family(name: str, **params):
+    return _build(FAMILY, name, params)
+
+
+def build_upb(name: str, **params):
+    return _build(UPB, name, params)
 
 
 def _read_input(path: str, from_json):
@@ -109,51 +119,21 @@ def _read_input(path: str, from_json):
                          f"{e!r}") from None
 
 
-def _token_int(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"{name} token parameter {text!r} is not an "
-                         "integer") from None
-
-
-def _upb_from_token(token: str):
-    """name[:params] or a JSON file path; used by equiv."""
-    import os
+def _from_token(token: str):
+    """A product set from a JSON file path or a name[:params] token."""
     if os.path.exists(token) or token.endswith(".json"):
         return _read_input(token, upb.ProductSet.from_json)
     name, _, params = token.partition(":")
-    args = [x for x in params.split(",") if x] if params else []
-    kw = {}
-    if name in ("one-param",):
-        kw["theta"] = args[0] if args else None
-    elif name == "genpyramid":
-        if len(args) != 2:
-            raise UsageError("genpyramid token needs m,t (e.g. genpyramid:4,3)")
-        kw["m"], kw["t"] = (_token_int(name, x) for x in args)
-    elif name == "quadres":
-        kw["p"] = _token_int(name, args[0]) if args else None
-    elif name == "gencontextual":
-        kw["n"] = _token_int(name, args[0]) if args else None
-    elif args:
-        raise UsageError(f"{name} takes no token parameters")
-    return build_upb(name, **kw)
+    return _build(UPB, name, [x for x in params.split(",") if x])
 
 
-def _family_from_args(a):
+def _from_args(a, kind: int):
+    label, _, from_json = _KINDS[kind]
     if a.infile:
-        return _read_input(a.infile, families.VectorFamily.from_json)
+        return _read_input(a.infile, from_json)
     if not a.name:
-        raise UsageError("give a family name or --in FILE")
-    return build_family(a.name, a.theta, a.n, a.m, a.t, a.p)
-
-
-def _upb_from_args(a):
-    if a.infile:
-        return _read_input(a.infile, upb.ProductSet.from_json)
-    if not a.name:
-        raise UsageError("give a UPB name or --in FILE")
-    return build_upb(a.name, a.theta, a.n, a.m, a.t, a.p)
+        raise UsageError(f"give a {label} name or --in FILE")
+    return _build(kind, a.name, vars(a))
 
 
 def _tolerances(a) -> Tolerances:
@@ -167,29 +147,26 @@ def _tolerances(a) -> Tolerances:
 # ---------------------------------------------------------------- commands
 
 def cmd_family(a):
-    fam = _family_from_args(a)
-    return fam.to_json(), ("family", fam)
+    return _from_args(a, FAMILY).to_json()
 
 
 def cmd_graph(a):
-    fam = _family_from_args(a)
-    g = families.orthogonality_graph(fam.vectors, _tolerances(a))
-    return g.to_json(), ("graph", g)
+    fam = _from_args(a, FAMILY)
+    return families.orthogonality_graph(fam.vectors, _tolerances(a)).to_json()
 
 
 def cmd_verify(a):
-    ps = _upb_from_args(a)
+    ps = _from_args(a, UPB)
     verdict = upb.verify_upb(ps, _tolerances(a), a.method)
     out = verdict.to_json()
     out["minimal"] = upb.is_minimal(ps)
     out["colored_graph"] = verdict.colored_graph.to_json()
-    return out, ("verdict", verdict)
+    return out
 
 
 def cmd_strength(a):
-    fam = _family_from_args(a)
-    rep = contextuality.strength(fam.vectors, fam.label)
-    return rep.to_json(), ("strength", rep)
+    fam = _from_args(a, FAMILY)
+    return contextuality.strength(fam.vectors, fam.label).to_json()
 
 
 def cmd_theta(a):
@@ -199,7 +176,7 @@ def cmd_theta(a):
         tv = contextuality.theta_cycle_complement(_require(a.n, "--n"))
     else:
         tv = contextuality.theta_paley(_require(a.q, "--q"))
-    return tv.to_json(), ("theta", tv)
+    return tv.to_json()
 
 
 def _require(v, flag):
@@ -221,22 +198,28 @@ def _graph_from_args(a):
 def cmd_alpha(a):
     g = _graph_from_args(a)
     size, witness = graphs.max_independent_set(g)
-    out = {"n": g.n, "alpha": size, "witness": list(witness)}
-    return out, ("alpha", out)
+    return {"n": g.n, "alpha": size, "witness": list(witness)}
+
+
+def _bound_entangled(a, tol):
+    """The named or --in UPB, its verdict and its bound entangled state,
+    which bes and lee need bipartite."""
+    ps = _from_args(a, UPB)
+    verdict = upb.verify_upb(ps, tol, a.method)
+    rho = upb.bound_entangled_state(ps, verdict)
+    if len(rho.party_dims) != 2:
+        raise UsageError(f"{a.command} needs a bipartite UPB")
+    return ps, verdict, rho
 
 
 def cmd_bes(a):
     tol = _tolerances(a)
-    ps = _upb_from_args(a)
-    verdict = upb.verify_upb(ps, tol, a.method)
-    rho = upb.bound_entangled_state(ps, verdict)
-    if len(rho.party_dims) != 2:
-        raise UsageError("bes needs a bipartite UPB")
+    ps, verdict, rho = _bound_entangled(a, tol)
     pt = partial_transpose(rho.matrix, rho.party_dims, 1)
     min_pt = float(hermitian_eig(pt)[0][0])
     overlaps = np.abs(np.einsum('kd,de,ke->k', ps.full_vectors().conj(),
                                 rho.matrix, ps.full_vectors()).real)
-    out = {
+    return {
         "status": verdict.status,
         "party_dims": list(rho.party_dims),
         "rank": rho.rank(tol),
@@ -246,7 +229,6 @@ def cmd_bes(a):
         "max_member_overlap": float(np.max(overlaps)),
         "matrix": rho.to_json()["matrix"],
     }
-    return out, ("bes", out)
 
 
 def _require_search_args(a):
@@ -258,142 +240,122 @@ def _require_search_args(a):
 
 def cmd_lee(a):
     _require_search_args(a)
-    tol = _tolerances(a)
-    ps = _upb_from_args(a)
-    verdict = upb.verify_upb(ps, tol, a.method)
-    rho = upb.bound_entangled_state(ps, verdict)
-    if len(rho.party_dims) != 2:
-        raise UsageError("lee needs a bipartite UPB")
-    res = entanglement.lee_upper_bound(rho.matrix, rho.party_dims, L=a.L,
-                                       restarts=a.restarts, seed=a.seed)
-    return res.to_json(), ("lee", res)
+    rho = _bound_entangled(a, _tolerances(a))[2]
+    return entanglement.lee_upper_bound(rho.matrix, rho.party_dims, L=a.L,
+                                        restarts=a.restarts,
+                                        seed=a.seed).to_json()
 
 
 def cmd_equiv(a):
-    ps_a = _upb_from_token(a.first)
-    ps_b = _upb_from_token(a.second)
-    perm = upb.upb_graph_equivalent(ps_a, ps_b, _tolerances(a))
-    out = {"equivalent": perm is not None,
-           "permutation": list(perm) if perm is not None else None}
-    return out, ("equiv", out)
+    perm = upb.upb_graph_equivalent(_from_token(a.first),
+                                    _from_token(a.second), _tolerances(a))
+    return {"equivalent": perm is not None,
+            "permutation": list(perm) if perm is not None else None}
 
 
 def cmd_table1(a):
     _require_search_args(a)
-    res = entanglement.table1(seed=a.seed, restarts=a.restarts,
-                              L=16 if a.L is None else a.L)
-    return res, ("table1", res)
+    return entanglement.table1(seed=a.seed, restarts=a.restarts,
+                               L=16 if a.L is None else a.L)
 
 
 def cmd_table2(a):
-    rows = contextuality.table2()
-    return {"rows": rows}, ("table2", rows)
+    return {"rows": contextuality.table2()}
 
 
 # ---------------------------------------------------------------- rendering
 
-def _to_csv(kind, payload) -> str:
-    lines = []
-    if kind == "family":
-        fam = payload
-        dim = fam.dim
-        header = ",".join(f"re{i},im{i}" for i in range(dim))
-        lines.append(header)
-        for v in fam.vectors:
-            cells = []
-            for z in v:
-                cells.append(jsonio.format_float(float(z.real)))
-                cells.append(jsonio.format_float(float(z.imag)))
-            lines.append(",".join(cells))
-    elif kind == "graph":
-        lines.append("i,j")
-        for (i, j) in payload.sorted_edges():
-            lines.append(f"{i},{j}")
-    elif kind == "table2":
-        lines.append("q,theta,alpha,ratio")
-        for row in payload:
-            lines.append(",".join([str(row["q"]),
-                                   jsonio.format_float(row["theta"]),
-                                   str(row["alpha"]),
-                                   jsonio.format_float(row["ratio"])]))
-    elif kind == "table1":
-        cols = ["theta", "upb_type", "strength", "strength_ref",
-                "strength_dev", "lee", "lee_ref", "lee_dev"]
-        lines.append(",".join(cols))
-        for row in payload["rows"]:
-            cells = []
-            for c in cols:
-                v = row[c]
-                cells.append(jsonio.format_float(v) if isinstance(v, float)
-                             else str(v))
-            lines.append(",".join(cells))
-    else:
-        raise UsageError("csv output is not defined for this command")
+def _columns(*cols):
+    return lambda res: (cols, [[row[c] for c in cols] for row in res["rows"]])
+
+
+CSV_LAYOUTS = {   # command: result -> (header cells, rows of cells)
+    "family": lambda res: ([f"re{i},im{i}" for i in range(res["dim"])],
+                           [[x for z in v for x in z] for v in res["vectors"]]),
+    "graph": lambda res: (("i", "j"), res["edges"]),
+    "table1": _columns("theta", "upb_type", "strength", "strength_ref",
+                       "strength_dev", "lee", "lee_ref", "lee_dev"),
+    "table2": _columns("q", "theta", "alpha", "ratio"),
+}
+
+
+def _to_csv(command: str, result) -> str:
+    header, rows = CSV_LAYOUTS[command](result)
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(jsonio.format_float(v) if isinstance(v, float)
+                              else str(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
 def _to_pretty(doc) -> str:
+    """One "key: value" or "- value" line per entry; a non-empty dict, or a
+    list longer than 8 or holding containers, opens an indented block."""
     lines = []
 
-    def walk(obj, indent):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                    lines.append(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}{k}: {_flat(v)}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                    lines.append(f"{pad}-")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}- {_flat(v)}")
-        else:
-            lines.append(f"{pad}{_flat(obj)}")
-
-    def _is_flat(v):
-        if isinstance(v, list):
-            return all(not isinstance(x, (dict, list)) for x in v) and len(v) <= 8
-        return False
-
-    def _flat(v):
+    def flat(v):
         if isinstance(v, float):
             return jsonio.format_float(v)
         if isinstance(v, list):
-            return "[" + ", ".join(_flat(x) for x in v) + "]"
+            return "[" + ", ".join(flat(x) for x in v) + "]"
         return str(v)
 
-    walk(doc, 0)
+    def walk(obj, pad):
+        for label, v in (((f"{k}:", v) for k, v in obj.items())
+                         if isinstance(obj, dict) else (("-", v) for v in obj)):
+            if isinstance(v, dict) and v or isinstance(v, list) and (
+                    len(v) > 8 or any(isinstance(x, (dict, list)) for x in v)):
+                lines.append(pad + label)
+                walk(v, pad + "  ")
+            else:
+                lines.append(f"{pad}{label} {flat(v)}")
+
+    walk(doc, "")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sp, io=True, seeds=False, method=False):
-    if io:
-        sp.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None)
-    if seeds:
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--restarts", type=int, default=64)
-        sp.add_argument("--L", type=int, default=None)
-    if method:
-        sp.add_argument("--method", choices=upb.METHODS, default="auto")
+_INT = {"type": int}
+_IO = (("--format", {"choices": ("json", "csv", "pretty"), "default": "json"}),
+       ("--out", {}), ("--tol", {"type": float}))
+_SEARCH = (("--seed", {"type": int, "default": 7}),
+           ("--restarts", {"type": int, "default": 64}), ("--L", _INT))
+_METHOD = (("--method", {"choices": upb.METHODS, "default": "auto"}),)
+_IN = (("--in", {"dest": "infile"}),)
+_NQ = (("--n", _INT), ("--q", _INT))
 
 
-def _add_target(sp, names):
-    sp.add_argument("name", nargs="?", choices=names, default=None)
-    sp.add_argument("--in", dest="infile", default=None)
-    sp.add_argument("--theta", default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--t", type=int, default=None)
-    sp.add_argument("--p", type=int, default=None)
+def _named(names):
+    """A target name from names, or --in FILE, with the table's parameters."""
+    return ((("name", {"nargs": "?", "choices": names}),) + _IN
+            + (("--theta", {}),) + tuple((f"--{k}", _INT) for k in "nmtp"))
+
+
+COMMANDS = {   # command: (handler, help, arguments in parser order)
+    "family": (cmd_family, "emit a built-in vector family",
+               _named(FAMILY_NAMES) + _IO),
+    "graph": (cmd_graph, "orthogonality graph of a family",
+              _named(FAMILY_NAMES) + _IO),
+    "verify-upb": (cmd_verify, "verify (un)extendibility",
+                   _named(UPB_NAMES) + _IO + _METHOD),
+    "strength": (cmd_strength, "contextual strength of a family",
+                 _named(FAMILY_NAMES) + _IO),
+    "theta": (cmd_theta, "closed-form Lovasz number",
+              (("family", {"choices": ("cycle", "cycle-complement",
+                                       "paley")}),) + _NQ + _IO),
+    "alpha": (cmd_alpha, "exact independence number",
+              (("family", {"nargs": "?", "choices": ("cycle", "paley")}),)
+              + _NQ + _IN + _IO),
+    "bes": (cmd_bes, "bound entangled state of a UPB",
+            _named(UPB_NAMES) + _IO + _METHOD),
+    "lee": (cmd_lee, "linear entropy of entanglement bound",
+            _named(UPB_NAMES) + _IO + _SEARCH + _METHOD),
+    "equiv": (cmd_equiv, "UPB graph equivalence",
+              (("first", {}), ("second", {})) + _IO),
+    "table1": (cmd_table1, "strength and LEE for five angles", _IO + _SEARCH),
+    "table2": (cmd_table2, "Paley graph theta and alpha table", _IO),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -402,67 +364,11 @@ def make_parser() -> argparse.ArgumentParser:
                                              "UPB verification, and bound "
                                              "entanglement analysis")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("family", help="emit a built-in vector family")
-    _add_target(sp, FAMILY_NAMES)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_family)
-
-    sp = sub.add_parser("graph", help="orthogonality graph of a family")
-    _add_target(sp, FAMILY_NAMES)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_graph)
-
-    sp = sub.add_parser("verify-upb", help="verify (un)extendibility")
-    _add_target(sp, UPB_NAMES)
-    _add_common(sp, method=True)
-    sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("strength", help="contextual strength of a family")
-    _add_target(sp, FAMILY_NAMES)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_strength)
-
-    sp = sub.add_parser("theta", help="closed-form Lovasz number")
-    sp.add_argument("family", choices=("cycle", "cycle-complement", "paley"))
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_theta)
-
-    sp = sub.add_parser("alpha", help="exact independence number")
-    sp.add_argument("family", nargs="?", choices=("cycle", "paley"),
-                    default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--in", dest="infile", default=None)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_alpha)
-
-    sp = sub.add_parser("bes", help="bound entangled state of a UPB")
-    _add_target(sp, UPB_NAMES)
-    _add_common(sp, method=True)
-    sp.set_defaults(fn=cmd_bes)
-
-    sp = sub.add_parser("lee", help="linear entropy of entanglement bound")
-    _add_target(sp, UPB_NAMES)
-    _add_common(sp, seeds=True, method=True)
-    sp.set_defaults(fn=cmd_lee)
-
-    sp = sub.add_parser("equiv", help="UPB graph equivalence")
-    sp.add_argument("first")
-    sp.add_argument("second")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_equiv)
-
-    sp = sub.add_parser("table1", help="strength and LEE for five angles")
-    _add_common(sp, seeds=True)
-    sp.set_defaults(fn=cmd_table1)
-
-    sp = sub.add_parser("table2", help="Paley graph theta and alpha table")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_table2)
-
+    for command, (fn, text, arguments) in COMMANDS.items():
+        sp = sub.add_parser(command, help=text)
+        for flag, kw in arguments:
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(fn=fn)
     return ap
 
 
@@ -480,13 +386,15 @@ def run(argv) -> int:
     ap = make_parser()
     a = ap.parse_args(argv)
     try:
-        result, (kind, payload) = a.fn(a)
+        if a.format == "csv" and a.command not in CSV_LAYOUTS:
+            raise UsageError("csv output is not defined for this command")
+        result = a.fn(a)
         if a.format == "json":
             doc = {"command": a.command, "config": _config_echo(a),
                    "result": result}
             text = jsonio.dumps(doc) + "\n"
         elif a.format == "csv":
-            text = _to_csv(kind, payload)
+            text = _to_csv(a.command, result)
         else:
             text = _to_pretty({"command": a.command, "result": result})
         if a.out:

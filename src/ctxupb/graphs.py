@@ -238,12 +238,6 @@ class GaloisField:
     def order(self) -> int:
         return self.p ** self.degree
 
-    def add(self, u: int, v: int) -> int:
-        p = self.p
-        if self.degree == 1:
-            return (u + v) % p
-        return (u % p + v % p) % p + (((u // p) + (v // p)) % p) * p
-
     def sub(self, u: int, v: int) -> int:
         p = self.p
         if self.degree == 1:

@@ -157,6 +157,54 @@ class TestCommands:
         assert abs(doc["result"]["value"] - math.sqrt(5)) <= 1e-12
 
 
+# parameter values for every named target that takes parameters
+TARGET_PARAMS = {"one-param": {"theta": "pi/3"}, "genpyramid": {"m": 4, "t": 3},
+                 "genkcbs": {"n": 7}, "loor-complement": {"n": 7},
+                 "quadres": {"p": 13}, "gencontextual": {"n": 7}}
+
+
+def target_flags(name):
+    return [name] + [x for k, v in TARGET_PARAMS.get(name, {}).items()
+                     for x in (f"--{k}", str(v))]
+
+
+class TestNamedTargets:
+    @pytest.mark.parametrize("name", cli.FAMILY_NAMES)
+    def test_family_names_run_everywhere(self, capsys, name):
+        assert set(cli.TARGETS[name][0]) == set(TARGET_PARAMS.get(name, {}))
+        for command, schema in (("family", "vector_family"),
+                                ("graph", "graph"), ("strength", "strength")):
+            run_json([command, *target_flags(name)], capsys, schema=schema)
+
+    @pytest.mark.parametrize("name", cli.UPB_NAMES)
+    def test_upb_token_matches_file(self, capsys, tmp_path, name):
+        params = TARGET_PARAMS.get(name, {})
+        assert set(cli.TARGETS[name][0]) == set(params)
+        token = ":".join([name, ",".join(map(str, params.values()))]) \
+            if params else name
+        path = tmp_path / "set.json"
+        path.write_text(jsonio.dumps(cli.build_upb(name, **params).to_json()))
+        doc = run_json(["equiv", token, str(path)], capsys, schema="equiv")
+        assert doc["result"]["equivalent"] is True
+
+    def test_name_sets_and_order(self):
+        assert cli.FAMILY_NAMES == ("one-param", "pyramid", "kcbs",
+                                    "tiles-rep", "genpyramid", "genkcbs",
+                                    "loor-complement", "quadres")
+        assert cli.UPB_NAMES == ("one-param", "pyramid", "kcbs", "tiles-rep",
+                                 "genpyramid", "quadres", "gencontextual")
+
+    def test_pretty_nested_block(self, capsys):
+        code, out = run_cli(["verify-upb", "pyramid", "--format", "pretty"],
+                            capsys)
+        assert code == 0
+        lines = out.split("\n")
+        block = lines.index("  colored_graph:")
+        assert lines[block + 1:block + 4] == ["    n: 5", "    edges:",
+                                              "      -"]
+        assert "  minimal: True" in lines
+
+
 def test_auto_fallback_checks_condition1_once(capsys, monkeypatch):
     calls = []
 
@@ -278,6 +326,7 @@ class TestErrors:
         ["verify-upb", "pyramid", "--tol", "-1"],
         ["verify-upb", "one-param", "--theta", "acos(2)"],
         ["bes", "genpyramid", "--m", "3", "--t", "2"],
+        ["lee", "genpyramid", "--m", "3", "--t", "2", "--restarts", "2"],
         ["lee", "pyramid", "--seed", "-1", "--restarts", "2", "--L", "5"],
         ["table1", "--seed", "-1", "--restarts", "2"],
         ["alpha", "--in", "{tmp}/fractional_endpoint.json"],
@@ -285,13 +334,17 @@ class TestErrors:
         ["equiv", "quadres:x", "pyramid"],
         ["equiv", "genpyramid:a,b", "pyramid"],
         ["equiv", "gencontextual:1.5", "pyramid"],
+        ["equiv", "quadres:13,99", "pyramid"],
+        ["equiv", "pyramid", "one-param:pi/3,x"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
-            "angle-outside-domain", "three-party-bes", "negative-lee-seed",
+            "angle-outside-domain", "three-party-bes", "three-party-lee",
+            "negative-lee-seed",
             "negative-table1-seed", "fractional-edge-endpoint",
             "negative-graph-order", "non-integer-quadres-token",
             "non-integer-genpyramid-token",
-            "non-integer-gencontextual-token"])
+            "non-integer-gencontextual-token", "surplus-quadres-token",
+            "surplus-one-param-token"])
     def test_bad_input_usage_error(self, capsys, tmp_path, argv):
         (tmp_path / "malformed.json").write_text('{"party_dims": [3, 3')
         (tmp_path / "wrong_kind.json").write_text('{"party_dims": [3, 3]}')
@@ -312,6 +365,22 @@ class TestErrors:
     def test_csv_unsupported_exit_2(self, capsys):
         code = cli.run(["theta", "cycle", "--n", "5", "--format", "csv"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-upb", "genpyramid", "--m", "7", "--t", "4"],
+        ["lee", "pyramid"],
+    ], ids=["verify-upb-not-orthogonal", "lee"])
+    def test_csv_rejected_before_running(self, capsys, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("command ran")
+
+        monkeypatch.setattr(upb, "verify_upb", fail)
+        code = cli.run(argv + ["--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("usage error: csv output is not defined for "
+                                "this command\n")
 
     def test_degenerate_theta_domain_error(self, capsys):
         code, out = run_cli(["family", "one-param", "--theta", "0"], capsys)
