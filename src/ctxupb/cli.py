@@ -7,6 +7,11 @@ subcommand its handler, help and arguments. A handler returns its JSON
 result; run() emits it as one JSON object (default), as CSV where
 CSV_LAYOUTS has a layout, or rendered with --format pretty. Domain errors
 exit 1 with a machine-readable error object; usage errors exit 2.
+
+run() parses a call that starts with a command by a parser for that
+command alone; make_parser(), one subparser per command, parses the rest
+(no command, -h, an unknown command, "--", leftover arguments), so help
+and error text are the full parser's.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ TARGETS = {
                 lambda p: upb.quadres_upb(p)),
     "gencontextual": (("n",), None, lambda n: upb.gencontextual_upb(n)),
 }
+PARAMS = ("theta", "n", "m", "t", "p")   # every TARGETS parameter
 FAMILY, UPB = 1, 2   # positions of the builders in a TARGETS entry
 FAMILY_NAMES = tuple(k for k, v in TARGETS.items() if v[FAMILY])
 UPB_NAMES = tuple(k for k, v in TARGETS.items() if v[UPB])
@@ -128,11 +134,22 @@ def _from_token(token: str):
 
 
 def _from_args(a, kind: int):
+    """The family or product set named by a.name or read from a.infile; a
+    name with --in, or a parameter flag the source does not take, is a
+    usage error."""
     label, _, from_json = _KINDS[kind]
+    flags = [f"--{k}" for k in PARAMS if getattr(a, k) is not None]
     if a.infile:
+        if a.name:
+            raise UsageError(f"give a {label} name or --in FILE, not both")
+        if flags:
+            raise UsageError(f"--in takes no {', '.join(flags)}")
         return _read_input(a.infile, from_json)
     if not a.name:
         raise UsageError(f"give a {label} name or --in FILE")
+    surplus = [f for f in flags if f[2:] not in TARGETS[a.name][0]]
+    if surplus:
+        raise UsageError(f"{a.name} takes no {', '.join(surplus)}")
     return _build(kind, a.name, vars(a))
 
 
@@ -329,7 +346,7 @@ _NQ = (("--n", _INT), ("--q", _INT))
 def _named(names):
     """A target name from names, or --in FILE, with the table's parameters."""
     return ((("name", {"nargs": "?", "choices": names}),) + _IN
-            + (("--theta", {}),) + tuple((f"--{k}", _INT) for k in "nmtp"))
+            + tuple((f"--{k}", {} if k == "theta" else _INT) for k in PARAMS))
 
 
 COMMANDS = {   # command: (handler, help, arguments in parser order)
@@ -358,33 +375,53 @@ COMMANDS = {   # command: (handler, help, arguments in parser order)
 }
 
 
+def _with_arguments(parser, command: str):
+    """parser given command's arguments from COMMANDS and its defaults."""
+    fn, _, arguments = COMMANDS[command]
+    for flag, kw in arguments:
+        parser.add_argument(flag, **kw)
+    parser.set_defaults(fn=fn, command=command)
+    return parser
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ctxupb",
                                  description="contextual vector families, "
                                              "UPB verification, and bound "
                                              "entanglement analysis")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (fn, text, arguments) in COMMANDS.items():
-        sp = sub.add_parser(command, help=text)
-        for flag, kw in arguments:
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(fn=fn)
+    for command, (_, text, _) in COMMANDS.items():
+        _with_arguments(sub.add_parser(command, help=text), command)
     return ap
+
+
+def _parse(argv):
+    """The namespace make_parser().parse_args(argv) gives. When argv starts
+    with a command, only that command's parser is built; if it leaves
+    arguments over, the full parser re-parses argv so that the error reads
+    as its own. argv holding "--" goes to the full parser too, so that how
+    argparse hands "--" on to a subparser never has to be matched."""
+    if argv and argv[0] in COMMANDS and "--" not in argv:
+        command = argv[0]
+        ap = argparse.ArgumentParser(prog=f"ctxupb {command}")
+        a, rest = _with_arguments(ap, command).parse_known_args(argv[1:])
+        if not rest:
+            return a
+    return make_parser().parse_args(argv)
 
 
 def _config_echo(a) -> dict:
     cfg = {}
-    for key in ("name", "infile", "theta", "n", "m", "t", "p", "q",
-                "method", "seed", "restarts", "L", "tol", "format",
-                "first", "second", "family"):
+    for key in ("name", "infile", *PARAMS, "q", "method", "seed",
+                "restarts", "L", "tol", "format", "first", "second",
+                "family"):
         if hasattr(a, key) and getattr(a, key) is not None:
             cfg[key] = getattr(a, key)
     return cfg
 
 
 def run(argv) -> int:
-    ap = make_parser()
-    a = ap.parse_args(argv)
+    a = _parse(argv)
     try:
         if a.format == "csv" and a.command not in CSV_LAYOUTS:
             raise UsageError("csv output is not defined for this command")

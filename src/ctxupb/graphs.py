@@ -15,6 +15,7 @@ set is known to fit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import BadOrder, NotPrime, SizeMismatch, TooLarge
@@ -271,10 +272,9 @@ class GaloisField:
 def galois_field(q: int) -> GaloisField:
     if is_prime(q) and q % 2 == 1:
         return GaloisField(q, 1)
-    r = int(round(q ** 0.5))
+    r = math.isqrt(q) if q >= 2 else 0
     if r * r == q and is_prime(r) and r % 2 == 1:
-        s = smallest_nonresidue(r)
-        return GaloisField(r, 2, s)
+        return GaloisField(r, 2, smallest_nonresidue(r))
     raise BadOrder("order must be an odd prime or the square of one", q=q)
 
 

@@ -336,6 +336,14 @@ class TestErrors:
         ["equiv", "gencontextual:1.5", "pyramid"],
         ["equiv", "quadres:13,99", "pyramid"],
         ["equiv", "pyramid", "one-param:pi/3,x"],
+        ["family", "pyramid", "--n", "3"],
+        ["family", "quadres", "--p", "5", "--theta", "pi/3"],
+        ["verify-upb", "genpyramid", "--m", "2", "--t", "2", "--p", "5"],
+        ["lee", "pyramid", "--theta", "pi/12", "--restarts", "1"],
+        ["family", "kcbs", "--in", "{tmp}/kcbs.json"],
+        ["verify-upb", "pyramid", "--in", "{tmp}/pyramid.json"],
+        ["verify-upb", "--in", "{tmp}/pyramid.json", "--n", "3"],
+        ["graph", "--in", "{tmp}/kcbs.json", "--theta", "pi/3"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
             "angle-outside-domain", "three-party-bes", "three-party-lee",
@@ -344,8 +352,15 @@ class TestErrors:
             "negative-graph-order", "non-integer-quadres-token",
             "non-integer-genpyramid-token",
             "non-integer-gencontextual-token", "surplus-quadres-token",
-            "surplus-one-param-token"])
+            "surplus-one-param-token", "surplus-pyramid-flag",
+            "surplus-quadres-flag", "surplus-genpyramid-flag",
+            "surplus-lee-flag", "family-name-with-in",
+            "upb-name-with-in", "upb-flag-with-in", "family-flag-with-in"])
     def test_bad_input_usage_error(self, capsys, tmp_path, argv):
+        (tmp_path / "kcbs.json").write_text(
+            jsonio.dumps(cli.build_family("kcbs").to_json()))
+        (tmp_path / "pyramid.json").write_text(
+            jsonio.dumps(cli.build_upb("pyramid").to_json()))
         (tmp_path / "malformed.json").write_text('{"party_dims": [3, 3')
         (tmp_path / "wrong_kind.json").write_text('{"party_dims": [3, 3]}')
         (tmp_path / "fractional_endpoint.json").write_text(
@@ -382,6 +397,14 @@ class TestErrors:
         assert captured.err == ("usage error: csv output is not defined for "
                                 "this command\n")
 
+    def test_negative_paley_order_domain_error(self, capsys):
+        code, out = run_cli(["alpha", "paley", "--q", "-3"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"] == "BadOrder"
+        assert doc["details"] == {"q": -3}
+
     def test_degenerate_theta_domain_error(self, capsys):
         code, out = run_cli(["family", "one-param", "--theta", "0"], capsys)
         assert code == 1
@@ -409,3 +432,113 @@ class TestCsvFormats:
                              "pretty"], capsys)
         assert code == 0
         assert "value" in out
+
+
+def _sweep_cases():
+    """Each integer parameter of each named target, and alpha/theta graph
+    orders, set to -3, 0, 1 and 2 (other parameters at their smallest
+    valid values); the one all-valid genpyramid call is left out."""
+    valid = {"m": 2, "t": 2}
+    for name, (params, *builders) in cli.TARGETS.items():
+        commands = [c for c, b in zip(("family", "verify-upb"), builders) if b]
+        for key in (k for k in params if k != "theta"):
+            for v in (-3, 0, 1, 2):
+                values = {**valid, key: v}
+                if all(values[k] == valid.get(k) for k in params):
+                    continue
+                flags = [x for k in params for x in (f"--{k}", str(values[k]))]
+                yield from ([c, name, *flags] for c in commands)
+    for command in ("alpha", "theta"):
+        for family, flag in (("cycle", "--n"), ("paley", "--q")):
+            for v in (-3, 0, 1, 2):
+                yield [command, family, flag, str(v)]
+
+
+@pytest.mark.parametrize("argv", list(_sweep_cases()), ids="_".join)
+def test_small_parameters_never_raise(capsys, argv):
+    try:
+        code = cli.run(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    if code == 1:
+        jsonschema.validate(json.loads(captured.out), load_schema("error"))
+    else:
+        assert captured.err.startswith(("usage error:", "usage: ctxupb"))
+
+
+class Parsed(Exception):
+    """Raised by a stand-in handler to hand back the parsed namespace."""
+
+
+PARITY_CALLS = {   # command: a valid call
+    "family": ["family", "pyramid"],
+    "graph": ["graph", "kcbs", "--format", "csv"],
+    "verify-upb": ["verify-upb", "gencontextual", "--n", "5", "--method",
+                   "bound"],
+    "strength": ["strength", "one-param", "--theta", "pi/3"],
+    "theta": ["theta", "cycle", "--n", "5"],
+    "alpha": ["alpha", "cycle", "--n", "7"],
+    "bes": ["bes", "--in", "set.json"],
+    "lee": ["lee", "pyramid", "--L", "5", "--seed", "3"],
+    "equiv": ["equiv", "pyramid", "kcbs", "--tol", "1e-9"],
+    "table1": ["table1", "--restarts", "2"],
+    "table2": ["table2", "--out", "t.json"],
+}
+assert set(PARITY_CALLS) == set(cli.COMMANDS)
+
+
+def _parity_cases():
+    for command, call in PARITY_CALLS.items():
+        for tag, argv in (
+                ("valid", call), ("help", call + ["-h"]),
+                ("unknown-flag", call + ["--bogus"]),
+                ("surplus-positional", call + ["surplus"]),
+                ("bad-choice", call + ["--format", "xml"]),
+                ("missing-value", call + ["--format"]),
+                ("double-dash", [command, "--", *call[1:]]),
+                ("abbreviation", call + ["--form", "pretty"])):
+            yield pytest.param(argv, id=f"{command}-{tag}")
+    for tag, argv in (("no-argv", []), ("help", ["-h"]),
+                      ("unknown-command", ["nonsense", "pyramid"])):
+        yield pytest.param(argv, id=tag)
+
+
+@pytest.mark.parametrize("argv", list(_parity_cases()))
+def test_parse_matches_full_parser(capsys, monkeypatch, argv):
+    """cli.run parses as make_parser().parse_args does: same exit code,
+    same bytes on stdout and stderr, same namespace."""
+    def record(a):
+        raise Parsed(a)
+
+    def reference(argv):
+        raise Parsed(cli.make_parser().parse_args(argv))
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, (_, text, arguments) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, command, (record, text, arguments))
+    outcomes = []
+    for parse in (cli.run, reference):
+        try:
+            parse(argv)
+            outcome = None
+        except Parsed as e:
+            outcome = vars(e.args[0])
+        except SystemExit as e:
+            outcome = e.code
+        captured = capsys.readouterr()
+        outcomes.append((outcome, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("argv", [["alpha", "cycle", "--n", "7"],
+                                  ["verify-upb", "pyramid"], ["table2"]])
+def test_known_command_skips_full_parser(capsys, monkeypatch, argv):
+    def fail():
+        raise AssertionError("full parser built")
+
+    monkeypatch.setattr(cli, "make_parser", fail)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]

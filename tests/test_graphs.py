@@ -342,6 +342,11 @@ class TestGaloisField:
             squares = [e for e in range(1, q) if gf.is_square(e)]
             assert len(squares) == (q - 1) // 2
 
+    @pytest.mark.parametrize("q", [-7, -3, 0, 1])
+    def test_order_below_two_rejected(self, q):
+        with pytest.raises(BadOrder):
+            galois_field(q)
+
 
 class TestPaley:
     def test_paley5_is_pentagon(self):
