@@ -186,29 +186,35 @@ def cmd_strength(a):
     return contextuality.strength(fam.vectors, fam.label).to_json()
 
 
+def _graph_param(a):
+    """The --n (cycle, cycle-complement) or --q (paley) value that a.family
+    takes; missing it, or giving the other flag, is a usage error."""
+    key, other = ("q", "n") if a.family == "paley" else ("n", "q")
+    if getattr(a, other) is not None:
+        raise UsageError(f"{a.family} takes no --{other}")
+    if getattr(a, key) is None:
+        raise UsageError(f"missing --{key}")
+    return getattr(a, key)
+
+
 def cmd_theta(a):
-    if a.family == "cycle":
-        tv = contextuality.theta_cycle(_require(a.n, "--n"))
-    elif a.family == "cycle-complement":
-        tv = contextuality.theta_cycle_complement(_require(a.n, "--n"))
-    else:
-        tv = contextuality.theta_paley(_require(a.q, "--q"))
-    return tv.to_json()
-
-
-def _require(v, flag):
-    if v is None:
-        raise UsageError(f"missing {flag}")
-    return v
+    return {"cycle": contextuality.theta_cycle,
+            "cycle-complement": contextuality.theta_cycle_complement,
+            "paley": contextuality.theta_paley}[a.family](
+                _graph_param(a)).to_json()
 
 
 def _graph_from_args(a):
     if a.infile:
+        given = [a.family] + [f"--{k}" for k in ("n", "q")
+                              if getattr(a, k) is not None]
+        if any(given):
+            raise UsageError(f"--in takes no {', '.join(filter(None, given))}")
         return _read_input(a.infile, graphs.Graph.from_json)
     if a.family == "cycle":
-        return graphs.cycle(_require(a.n, "--n"))
+        return graphs.cycle(_graph_param(a))
     if a.family == "paley":
-        return graphs.paley(_require(a.q, "--q"))
+        return graphs.paley(_graph_param(a))
     raise UsageError("give --in FILE or a graph family (cycle --n, paley --q)")
 
 

@@ -3,19 +3,16 @@ minimality, bound entangled states, and graph equivalence of product bases.
 
 Verification follows the two graph-theoretic conditions for unextendibility:
 (1) the per-party orthogonality graphs must cover the complete graph, and
-(2) no assignment of states to parties may leave every party's assigned
-local factors short of spanning that party's space. One verifier,
-verify_upb, checks (1) and then (2) in two stages. First a certificate
-bounds the maximum size of a non-spanning subset per party; if the bounds
-sum below k, (2) holds. That bound (max_nonspanning) walks the prefix
-tree of each party's (d-1)-subsets: a node holds the residuals of all k
-factors against the span of its prefix, shared by the subsets below it,
-and each new member removes one coordinate by a Householder reflection.
-Subtrees are expanded breadth first in numpy batches of at most
-SCAN_BUDGET complex elements in all.
-If they do not, a depth-first search enumerates assignments in lexicographic
-order with saturation pruning, until it finds an extension, exhausts the
-assignments, or reaches SEARCH_BUDGET pushes.
+(2) the states must not split into parts S_1, ..., S_n such that the
+party-m factors of S_m fail to span party m's space for every m (such a
+split exists exactly when some product state is orthogonal to all the
+states). One verifier, verify_upb, checks (1) and then (2) from one walk
+per party, nonspanning_flats, which lists the party's hyperplane flats:
+every non-spanning subset lies in one. The largest flat sizes form a
+certificate: if they sum below k, (2) holds. If they do not, a depth-first
+search gives each party in turn one of its flats' intersections with the
+states still left, until the parts cover every state (an extension), no
+branch is left, or it has tried SEARCH_BUDGET flat nodes.
 """
 
 from __future__ import annotations
@@ -35,8 +32,8 @@ from .graphs import (EdgeColoredGraph, colored_equivalence,
 from .linalg import (DEFAULT_TOL, Tolerances, as_vector, hermitian_eig,
                      kron_all, partial_transpose)
 
-SEARCH_BUDGET = 10 ** 6   # _PartySpan.push calls per assignment search
-SCAN_BUDGET = 1 << 16     # complex elements max_nonspanning holds at once
+SEARCH_BUDGET = 10 ** 6   # flat nodes one extension search may try
+SCAN_BUDGET = 1 << 16     # complex elements nonspanning_flats holds at once
 METHODS = ("exact", "bound", "auto")
 
 STATUS_COMPLETE = "CompleteBasis"
@@ -239,77 +236,6 @@ def _check_condition1(ps: ProductSet, tol: Tolerances):
     return colored
 
 
-class _PartySpan:
-    """Incremental orthonormal basis for one party's assigned factors."""
-
-    def __init__(self, dim: int, tol: float):
-        self.dim = dim
-        self.tol = tol
-        self.basis: list[np.ndarray] = []
-        self.grew: list[bool] = []
-
-    @property
-    def saturated(self) -> bool:
-        return len(self.basis) >= self.dim
-
-    def push(self, v: np.ndarray) -> None:
-        w = v.astype(complex)
-        for b in self.basis:
-            w = w - np.vdot(b, w) * b
-        n = np.linalg.norm(w)
-        if n > self.tol:
-            self.basis.append(w / n)
-            self.grew.append(True)
-        else:
-            self.grew.append(False)
-
-    def pop(self) -> None:
-        if self.grew.pop():
-            self.basis.pop()
-
-    def complement_vector(self) -> np.ndarray:
-        # first standard-basis vector surviving ordered orthonormalization
-        for idx in range(self.dim):
-            w = np.zeros(self.dim, dtype=complex)
-            w[idx] = 1.0
-            for b in self.basis:
-                w = w - np.vdot(b, w) * b
-            n = np.linalg.norm(w)
-            if n > self.tol:
-                return w / n
-        raise NotUpb("assigned span has no complement")  # pragma: no cover
-
-
-def _find_extension(ps: ProductSet, tol: Tolerances):
-    """Depth-first search over state-to-party assignments in lexicographic
-    order; returns the witness factors of the first assignment that leaves
-    every party non-spanning, or None. Raises Inconclusive once it has made
-    SEARCH_BUDGET pushes without finishing."""
-    n_par = ps.n_parties
-    spans = [_PartySpan(d, tol.rank_tol) for d in ps.party_dims]
-    nodes = 0
-
-    def rec(state: int):
-        nonlocal nodes
-        if state == ps.k:
-            return tuple(sp.complement_vector() for sp in spans)
-        for m in range(n_par):
-            if nodes == SEARCH_BUDGET:
-                raise Inconclusive("assignment search over budget", k=ps.k,
-                                   nodes=nodes, budget=SEARCH_BUDGET)
-            nodes += 1
-            sp = spans[m]
-            sp.push(ps.factor(state, m))
-            if not sp.saturated:
-                found = rec(state + 1)
-                if found is not None:
-                    return found
-            sp.pop()
-        return None
-
-    return rec(0)
-
-
 def _validated_witness(ps: ProductSet, factors, tol: Tolerances):
     w = kron_all(factors)
     overlaps = np.abs(ps.full_vectors().conj() @ w)
@@ -345,21 +271,26 @@ def _child_residuals(res, parent, members, norms):
     return child
 
 
-def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Largest number of the given vectors lying inside a common proper
-    subspace.
+def nonspanning_flats(vectors, dim: int,
+                      tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Boolean masks, shape (flats, k), of the hyperplane flats of the given
+    vectors: for every r = min(dim-1, k) linearly independent members (up to
+    rank_tol), the members lying in their span. Every subset that does not
+    span C^dim lies in one of them, since its independent members extend to
+    r independent members of the set. If no r members are independent, all
+    k vectors lie in a proper subspace and the one flat holds them all; if
+    dim is 1, the one flat is empty.
 
-    Such a subspace can be taken to be spanned by r = min(dim-1, k) linearly
-    independent members of the set; if no r members are independent (up to
-    rank_tol), all k vectors lie in a proper subspace. So the scan walks the
-    prefix tree of r-subsets i_1 < ... < i_r of independent members. A node
-    holds the residuals of all k vectors against the span of its prefix,
-    shared by every subset below it. A child adds a member whose residual
-    norm is above rank_tol: one Householder reflection maps that residual
-    onto the last coordinate, which is dropped, so residuals at depth t have
-    dim-t coordinates. A member at or below rank_tol adds no direction, and
-    its subtree is skipped: its spans lie inside spans of independent
-    members. A leaf counts the residuals of norm at most rank_tol.
+    The walk visits the prefix tree of r-subsets i_1 < ... < i_r of
+    independent members. A node holds the residuals of all k vectors against
+    the span of its prefix, shared by every subset below it. A child adds a
+    member whose residual norm is above rank_tol: one Householder reflection
+    maps that residual onto the last coordinate, which is dropped, so
+    residuals at depth t have dim-t coordinates. A member at or below
+    rank_tol adds no direction, and its subtree is skipped: its spans lie
+    inside spans of independent members. A leaf's flat holds the residuals
+    of norm at most rank_tol. Leaves come in lexicographic order of their
+    subsets, and several leaves may give the same flat.
 
     The tree is expanded breadth first, one numpy batch for the subtrees of
     a run of nodes, when every two consecutive levels of those subtrees (k
@@ -371,8 +302,8 @@ def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
     k = len(vectors)
     r = min(dim - 1, k)
     if r <= 0:
-        return 0
-    best = 0
+        return np.zeros((1, k), dtype=bool)
+    leaves = []
 
     @functools.lru_cache(maxsize=None)
     def level_sizes(depth, last):
@@ -386,7 +317,6 @@ def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
     def scan(level, lasts, depth, avail):
         # level: residuals (nodes, dim-depth, k) of nodes at `depth` whose
         # prefixes end with `lasts`; avail: complex elements it may add
-        nonlocal best
         fits = False
         while depth < r:
             if not fits:
@@ -417,12 +347,67 @@ def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
             level = _child_residuals(level, parent[grow], members[grow],
                                      norms[grow])
             lasts, depth = members[grow], depth + 1
-        best = max(best, int(np.count_nonzero(
-            np.linalg.norm(level, axis=1) <= tol.rank_tol, axis=1).max()))
+        leaves.append(np.linalg.norm(level, axis=1) <= tol.rank_tol)
 
     scan(np.array([as_vector(v) for v in vectors]).T[None], np.array([-1]), 0,
          SCAN_BUDGET)
-    return best or k
+    return np.concatenate(leaves) if leaves else np.ones((1, k), dtype=bool)
+
+
+def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Largest number of the given vectors lying inside a common proper
+    subspace: the size of their largest hyperplane flat."""
+    return int(nonspanning_flats(vectors, dim, tol).sum(axis=1).max())
+
+
+def _flat_search(flats, k: int):
+    """One take per party, bitsets of state indices that cover all k states,
+    each inside one of its party's flats (masks from nonspanning_flats), or
+    None if there are none. Depth first over the parties in order: a party
+    takes its flats' intersections with the states left, distinct ones
+    only, largest first and then by bitset value. A node is pruned when the
+    largest such intersections of the parties from it on sum below the
+    states left. Raises Inconclusive once it has tried SEARCH_BUDGET takes."""
+    # Python ints as bitsets: bit j is state j, for any k
+    bitsets = [{int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(f, axis=1, bitorder="little")}
+               for f in flats]
+    nodes = 0
+
+    def rec(m, left):
+        nonlocal nodes
+        if not left:
+            return (0,) * (len(bitsets) - m)
+        if sum(max((f & left).bit_count() for f in party)
+               for party in bitsets[m:]) < left.bit_count():
+            return None
+        for take in sorted({f & left for f in bitsets[m]},
+                           key=lambda t: (-t.bit_count(), t)):
+            if nodes == SEARCH_BUDGET:
+                raise Inconclusive("flat search over budget", nodes=nodes,
+                                   budget=SEARCH_BUDGET)
+            nodes += 1
+            found = rec(m + 1, left & ~take)
+            if found is not None:
+                return (take,) + found
+        return None
+
+    return rec(0, (1 << k) - 1)
+
+
+def _complement(vectors, dim: int, tol: float) -> np.ndarray:
+    """First standard-basis vector that survives ordered orthonormalization
+    against the vectors, which must not span C^dim."""
+    basis = []
+    for i, w in enumerate([*vectors, *np.eye(dim, dtype=complex)]):
+        for b in basis:
+            w = w - np.vdot(b, w) * b
+        n = np.linalg.norm(w)
+        if n > tol:
+            if i >= len(vectors):
+                return w / n
+            basis.append(w / n)
+    raise NotUpb("assigned span has no complement")  # pragma: no cover
 
 
 def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
@@ -430,20 +415,25 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
     """Verdict on the (un)extendibility of an orthogonal product set.
 
     Checks condition 1 (raising NotOrthogonalSet with the first pair
-    orthogonal in no party), then the per-party certificate max_nonspanning.
-    If it sums below k no assignment leaves every party non-spanning: the
-    verdict is UPB (CompleteBasis when k >= total_dim) under "exact" and
+    orthogonal in no party), then the certificate: each party's largest
+    hyperplane flat (nonspanning_flats). If it sums below k the verdict is
+    UPB (CompleteBasis when k >= total_dim) under "exact" and
     CertifiedUnextendible with the certificate under "auto" and "bound".
-    Otherwise "bound" raises Inconclusive, while "exact" and "auto" run the
-    lexicographic assignment search, returning Extendible with a checked
-    witness or UPB/CompleteBasis, and raising Inconclusive after
-    SEARCH_BUDGET pushes.
+    Otherwise "bound" raises Inconclusive, while "exact" and "auto" search
+    the same flats (_flat_search). A cover gives Extendible: each party's
+    witness factor is the first standard-basis vector left by ordered
+    orthonormalization against the factors it took, checked against every
+    member. No cover gives UPB/CompleteBasis, and SEARCH_BUDGET flat nodes
+    without an answer raise Inconclusive.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, not {method!r}")
     colored = _check_condition1(ps, tol)
-    cert = [max_nonspanning([ps.factor(j, m) for j in range(ps.k)], d, tol)
-            for m, d in enumerate(ps.party_dims)]
+    factors = [[ps.factor(j, m) for j in range(ps.k)]
+               for m in range(ps.n_parties)]
+    flats = [nonspanning_flats(vs, d, tol)
+             for vs, d in zip(factors, ps.party_dims)]
+    cert = [int(f.sum(axis=1).max()) for f in flats]
     unextendible = STATUS_COMPLETE if ps.k >= ps.total_dim else STATUS_UPB
     if sum(cert) < ps.k:
         if method == "exact":
@@ -454,11 +444,15 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
         raise Inconclusive("non-spanning certificate does not close",
                            certificate=cert, k=ps.k)
     try:
-        witness = _find_extension(ps, tol)
+        takes = _flat_search(flats, ps.k)
     except Inconclusive as e:
-        raise Inconclusive(str(e), certificate=cert, **e.details) from None
-    if witness is None:
+        raise Inconclusive(str(e), certificate=cert, k=ps.k,
+                           **e.details) from None
+    if takes is None:
         return UpbVerdict(unextendible, True, colored_graph=colored)
+    witness = [_complement([v for j, v in enumerate(vs) if take >> j & 1], d,
+                           tol.rank_tol)
+               for vs, d, take in zip(factors, ps.party_dims, takes)]
     return UpbVerdict(STATUS_EXTENDIBLE, True,
                       witness=_validated_witness(ps, witness, tol),
                       colored_graph=colored)

@@ -269,9 +269,12 @@ class TestErrors:
         assert doc["details"]["condition"] == 1
         assert doc["details"]["pair"] == [0, 3]
 
-    def test_inconclusive_over_budget_exit_1(self, capsys, tmp_path):
+    def test_inconclusive_over_budget_exit_1(self, capsys, tmp_path,
+                                             monkeypatch):
         # complete product basis of five qubits: the certificate does not
-        # close and the search cannot finish inside its node budget
+        # close, and the flat search, which needs 30 nodes to decide the
+        # set, cannot finish inside a node budget patched down to 10
+        monkeypatch.setattr(upb, "SEARCH_BUDGET", 10)
         path = tmp_path / "qubits5.json"
         path.write_text(jsonio.dumps(qubit_basis(5).to_json()))
         code, out = run_cli(["verify-upb", "--in", str(path),
@@ -344,6 +347,11 @@ class TestErrors:
         ["verify-upb", "pyramid", "--in", "{tmp}/pyramid.json"],
         ["verify-upb", "--in", "{tmp}/pyramid.json", "--n", "3"],
         ["graph", "--in", "{tmp}/kcbs.json", "--theta", "pi/3"],
+        ["alpha", "cycle", "--n", "5", "--q", "13"],
+        ["theta", "cycle", "--n", "5", "--q", "13"],
+        ["theta", "paley", "--q", "13", "--n", "5"],
+        ["alpha", "--in", "{tmp}/graph.json", "cycle", "--n", "5"],
+        ["alpha", "--in", "{tmp}/graph.json", "--n", "5"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
             "angle-outside-domain", "three-party-bes", "three-party-lee",
@@ -355,7 +363,10 @@ class TestErrors:
             "surplus-one-param-token", "surplus-pyramid-flag",
             "surplus-quadres-flag", "surplus-genpyramid-flag",
             "surplus-lee-flag", "family-name-with-in",
-            "upb-name-with-in", "upb-flag-with-in", "family-flag-with-in"])
+            "upb-name-with-in", "upb-flag-with-in", "family-flag-with-in",
+            "surplus-alpha-flag", "surplus-theta-flag",
+            "surplus-theta-paley-flag", "graph-family-with-in",
+            "graph-flag-with-in"])
     def test_bad_input_usage_error(self, capsys, tmp_path, argv):
         (tmp_path / "kcbs.json").write_text(
             jsonio.dumps(cli.build_family("kcbs").to_json()))
@@ -366,6 +377,7 @@ class TestErrors:
         (tmp_path / "fractional_endpoint.json").write_text(
             '{"n": 3, "edges": [[0, 1.5]]}')
         (tmp_path / "negative_order.json").write_text('{"n": -1, "edges": []}')
+        (tmp_path / "graph.json").write_text('{"n": 5, "edges": [[0, 1]]}')
         code = cli.run([x.format(tmp=tmp_path) for x in argv])
         captured = capsys.readouterr()
         assert code == 2

@@ -147,6 +147,41 @@ def _cases():
 CASES = _cases()
 
 
+def _rotated_qubit_cases(rng, count):
+    """The three-qubit Shifts UPB |0,1,+>, |1,+,0>, |+,0,1>, |-,-,->, and
+    the three-qubit computational basis, whose certificate does not close,
+    under random local unitaries (still unextendible), each alternating
+    with a copy that drops one state (extendible)."""
+    zero, one = np.eye(2)
+    plus, minus = (zero + one) / np.sqrt(2), (zero - one) / np.sqrt(2)
+    shifts = ((zero, one, plus), (one, plus, zero), (plus, zero, one),
+              (minus, minus, minus))
+    basis = tuple(itertools.product((zero, one), repeat=3))
+    cases = []
+    for i in range(count):
+        base = shifts if i % 4 < 2 else basis
+        us = [_random_unitary(rng, 2) for _ in range(3)]
+        states = [tuple(u @ f for u, f in zip(us, st)) for st in base]
+        if i % 2:
+            del states[int(rng.integers(0, len(states)))]
+        cases.append(ProductSet((2, 2, 2), tuple(states)))
+    return cases
+
+
+def _multipartite_cases():
+    rng = np.random.default_rng(577)
+    cases = _rotated_qubit_cases(rng, 8)
+    while len(cases) < 38:
+        dims = ((2, 2, 2), (2, 2, 3), (2, 2, 2, 2))[len(cases) % 3]
+        ps = random_orthogonal_product_set(rng, dims, int(rng.integers(3, 8)))
+        if ps is not None:
+            cases.append(ps)
+    return cases
+
+
+MULTIPARTITE_CASES = _multipartite_cases()
+
+
 def test_generator_produces_orthogonal_sets():
     from ctxupb.upb import party_graphs
     for ps in CASES[:50]:
@@ -162,6 +197,13 @@ def test_verifier_agrees_with_oracle(idx):
     verdict = verify_upb(ps, method="exact")
     got_extendible = verdict.status == "Extendible"
     assert got_extendible == oracle_extendible(ps)
+
+
+@pytest.mark.parametrize("idx", range(len(MULTIPARTITE_CASES)))
+def test_multipartite_verifier_agrees_with_oracle(idx):
+    ps = MULTIPARTITE_CASES[idx]
+    verdict = verify_upb(ps, method="exact")
+    assert (verdict.status == "Extendible") == oracle_extendible(ps)
 
 
 def test_sampling_hits_imply_extendibility():

@@ -12,8 +12,7 @@ from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
 from ctxupb.graphs import complement, complete, cycle, is_cycle
 from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
-from ctxupb.upb import (SEARCH_BUDGET, ProductSet, _find_extension,
-                        _validated_witness, assemble_mapped,
+from ctxupb.upb import (ProductSet, _validated_witness, assemble_mapped,
                         bound_entangled_state, gencontextual_upb, is_minimal,
                         is_ppt, max_nonspanning, one_param_upb, party_graphs,
                         product_set, quadres_upb, upb_graph_equivalent,
@@ -152,15 +151,25 @@ class TestExactVerifier:
         assert exc.value.details["condition"] == 1
         assert exc.value.details["pair"] == [0, 3]
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         # the complete product basis of five qubits: every certificate is
-        # 16, and the search cannot finish inside the budget
+        # 16, so the flat search runs; it needs 30 flat nodes to decide the
+        # set, so a budget of 10 stops it
+        monkeypatch.setattr(upb, "SEARCH_BUDGET", 10)
         with pytest.raises(Inconclusive) as exc:
             verify_upb(qubit_basis(5), method="exact")
         details = exc.value.details
-        assert details["nodes"] == details["budget"] == SEARCH_BUDGET
+        assert details["nodes"] == details["budget"] == upb.SEARCH_BUDGET
         assert details["certificate"] == [16] * 5
         assert details["k"] == 32
+
+    @pytest.mark.parametrize("method", ["exact", "auto"])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_qubit_basis_is_complete(self, n, method):
+        # every certificate is 2^(n-1), far from closing; the flat search
+        # shows that no split leaves every qubit non-spanning
+        assert verify_upb(qubit_basis(n), method=method).status \
+            == "CompleteBasis"
 
     @pytest.mark.parametrize("method", ["exact", "auto"])
     def test_genpyramid_25_search_finds_extension(self, method):
@@ -190,6 +199,17 @@ class TestExactVerifier:
         v = verify_upb(ps, method="exact")
         assert v.status == "Extendible"
         assert witness_overlap(ps, v.witness) <= 1e-12
+
+    def test_genpyramid_9_witness_independent_of_scan_batches(
+            self, monkeypatch):
+        # budget 0 walks each tree node alone, 2048 batches subtrees; the
+        # search and so its witness must not depend on the batching
+        ps = assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4))
+        want = verify_upb(ps, method="exact").witness
+        for budget in (0, 2048):
+            monkeypatch.setattr(upb, "SCAN_BUDGET", budget)
+            got = verify_upb(ps, method="exact").witness
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_removing_any_state_from_pyramid_extends(self):
         ps = pyramid_upb()
@@ -239,9 +259,9 @@ class TestBoundVerifier:
         assert witness_overlap(ps, genpyramid_25_witness(ps)) <= 1e-12
 
     def test_exact_and_bound_never_disagree(self):
-        # the bare search, which never consults the certificate, finds no
-        # extension wherever the certificate closes
-        from test_oracle_random_sets import CASES
+        # the independent assignment oracle finds no extension wherever the
+        # certificate closes
+        from test_oracle_random_sets import CASES, oracle_extendible
         built = [pyramid_upb(), tiles_rep_upb(), quadres_upb(5),
                  gencontextual_upb(5), gencontextual_upb(7),
                  gencontextual_upb(9), quadres_upb(13)]
@@ -254,7 +274,7 @@ class TestBoundVerifier:
             closed.append(ps)
         assert len(closed) == len(built) + 67
         for ps in closed:
-            assert _find_extension(ps, DEFAULT_TOL) is None
+            assert not oracle_extendible(ps)
 
     def test_collinear_duplicates_counted(self):
         v = np.array([1, 0, 0], dtype=complex)
