@@ -480,6 +480,67 @@ def test_small_parameters_never_raise(capsys, argv):
         assert captured.err.startswith(("usage error:", "usage: ctxupb"))
 
 
+def _factor(*xs):
+    return [[x, 0.0] for x in xs]
+
+
+_H = 1 / math.sqrt(2)
+EDGE_SETS = {   # --in product sets at the edges of the input domain
+    "complete-2x2": {"party_dims": [2, 2], "states": [
+        [_factor(1, 0), _factor(1, 0)], [_factor(1, 0), _factor(0, 1)],
+        [_factor(0, 1), _factor(_H, _H)], [_factor(0, 1), _factor(_H, -_H)]]},
+    "no-states": {"party_dims": [2, 2], "states": []},
+    "no-parties": {"party_dims": [], "states": []},
+    "dims-1-2": {"party_dims": [1, 2], "states": [
+        [_factor(1), _factor(1, 0)], [_factor(1), _factor(0, 1)]]},
+    "dims-1-1": {"party_dims": [1, 1], "states": [[_factor(1), _factor(1)]]},
+    "single-state": {"party_dims": [2, 3],
+                     "states": [[_factor(1, 0), _factor(0, 1, 0)]]},
+}
+EDGE_COMMANDS = {"auto": ["verify-upb", "--method", "auto"],
+                 "exact": ["verify-upb", "--method", "exact"],
+                 "bes": ["bes"], "lee": ["lee"]}
+
+
+def _edge_argv(tmp_path, name, command):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(EDGE_SETS[name]))
+    return [*EDGE_COMMANDS[command], "--in", str(path)]
+
+
+@pytest.mark.parametrize("command", EDGE_COMMANDS)
+@pytest.mark.parametrize("name", EDGE_SETS)
+def test_edge_product_sets_never_raise(capsys, tmp_path, name, command):
+    try:
+        code = cli.run(_edge_argv(tmp_path, name, command))
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 0:
+        jsonschema.validate(json.loads(captured.out), load_schema("envelope"))
+    elif code == 1:
+        jsonschema.validate(json.loads(captured.out), load_schema("error"))
+    else:
+        assert captured.err.startswith(("usage error:", "usage: ctxupb"))
+
+
+@pytest.mark.parametrize("name,commands,error,detail", [
+    ("complete-2x2", ["bes", "lee"], "NotUpb", {"status": "CompleteBasis"}),
+    ("dims-1-1", ["bes", "lee"], "NotUpb", {"status": "CompleteBasis"}),
+    ("dims-1-2", ["bes", "lee"], "NotUpb", {"status": "CompleteBasis"}),
+    ("no-states", list(EDGE_COMMANDS), "EmptyFamily", {}),
+    ("no-parties", list(EDGE_COMMANDS), "DimensionMismatch", {}),
+], ids=["complete-2x2", "dims-1-1", "dims-1-2", "no-states", "no-parties"])
+def test_edge_product_set_errors(capsys, tmp_path, name, commands, error,
+                                 detail):
+    for command in commands:
+        code, out = run_cli(_edge_argv(tmp_path, name, command), capsys)
+        doc = json.loads(out)
+        assert (code, doc["error"], doc["details"]) == (1, error, detail), \
+            command
+
+
 class Parsed(Exception):
     """Raised by a stand-in handler to hand back the parsed namespace."""
 

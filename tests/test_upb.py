@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ctxupb import upb
-from ctxupb.errors import (DimensionMismatch, Inconclusive, NotOrthogonalSet,
-                           NotUpb, SizeMismatch)
+from ctxupb.errors import (DimensionMismatch, EmptyFamily, Inconclusive,
+                           NotOrthogonalSet, NotUpb, SizeMismatch)
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
                              quadres_local)
 from ctxupb.graphs import complement, complete, cycle, is_cycle
@@ -14,9 +14,9 @@ from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
 from ctxupb.upb import (ProductSet, _validated_witness, assemble_mapped,
                         bound_entangled_state, gencontextual_upb, is_minimal,
-                        is_ppt, max_nonspanning, one_param_upb, party_graphs,
-                        product_set, quadres_upb, upb_graph_equivalent,
-                        verify_upb)
+                        is_ppt, max_nonspanning, nonspanning_flats,
+                        one_param_upb, party_graphs, product_set, quadres_upb,
+                        upb_graph_equivalent, verify_upb)
 
 from conftest import (genpyramid_25_upb, genpyramid_25_witness, qubit_basis,
                       random_unitary, unit_basis as e, witness_overlap)
@@ -374,16 +374,40 @@ def _repeated_rows_set(rng):
 
 def _batch_sizes(monkeypatch):
     """List that collects, for every batched step of the scan, the number
-    of tree nodes whose children the step computes."""
+    of tree nodes whose children the step computes: residuals of inner
+    nodes (_child_residuals) or the in-span masks of leaves in C^2
+    (_plane_leaves)."""
     sizes = []
-    real = upb._child_residuals
+    for name in ("_child_residuals", "_plane_leaves"):
+        def spy(res, *args, real=getattr(upb, name)):
+            sizes.append(res.shape[0])
+            return real(res, *args)
 
-    def spy(res, *args):
-        sizes.append(res.shape[0])
-        return real(res, *args)
-
-    monkeypatch.setattr(upb, "_child_residuals", spy)
+        monkeypatch.setattr(upb, name, spy)
     return sizes
+
+
+def reference_flats(vectors, dim, tol=DEFAULT_TOL):
+    """The hyperplane flats nonspanning_flats lists, one subset at a time:
+    for each r-subset in lexicographic order whose members each leave a
+    residual above rank_tol against the ones before (a LAPACK QR of the
+    subset gives them as |R_ii|), the members within rank_tol of its span."""
+    k = len(vectors)
+    vecs = np.array([np.asarray(v, dtype=complex) for v in vectors])
+    r = min(dim - 1, k)
+    if r <= 0:
+        return np.zeros((1, k), dtype=bool)
+    subsets = np.array(list(itertools.combinations(range(k), r)))
+    flats = []
+    for chunk in np.array_split(subsets, -(-len(subsets) // 2048)):
+        q, rr = np.linalg.qr(vecs[chunk].transpose(0, 2, 1))
+        independent = (np.abs(np.diagonal(rr, axis1=1, axis2=2))
+                       > tol.rank_tol).all(axis=1)
+        q = q[independent]
+        res = vecs.T - q @ (q.conj().transpose(0, 2, 1) @ vecs.T)
+        flats.append(np.linalg.norm(res, axis=1) <= tol.rank_tol)
+    flats = np.concatenate(flats)
+    return flats if len(flats) else np.ones((1, k), dtype=bool)
 
 
 def _rotated(ps, seed):
@@ -391,6 +415,13 @@ def _rotated(ps, seed):
     us = [random_unitary(rng, d) for d in ps.party_dims]
     return ProductSet(ps.party_dims, tuple(
         tuple(u @ f for u, f in zip(us, st)) for st in ps.states))
+
+
+def _assert_reference_flats(ps):
+    for m, d in enumerate(ps.party_dims):
+        vectors = [ps.factor(j, m) for j in range(ps.k)]
+        assert np.array_equal(nonspanning_flats(vectors, d),
+                              reference_flats(vectors, d)), m
 
 
 def _certificate(ps):
@@ -406,6 +437,8 @@ class TestBatchedNonspanningScan:
         vectors, dim = _degenerate_set(kind, seed)
         assert (max_nonspanning(vectors, dim)
                 == reference_max_nonspanning(vectors, dim))
+        assert np.array_equal(nonspanning_flats(vectors, dim),
+                              reference_flats(vectors, dim))
 
     def test_known_values_of_degenerate_sets(self):
         vectors, dim = _degenerate_set("repeated", 0)
@@ -442,14 +475,35 @@ class TestBatchedNonspanningScan:
         vectors, dim = _repeated_rows_set(np.random.default_rng([seed, 3]))
         assert (max_nonspanning(vectors, dim)
                 == reference_max_nonspanning(vectors, dim) == 10)
+        assert np.array_equal(nonspanning_flats(vectors, dim),
+                              reference_flats(vectors, dim))
+
+    def test_last_level_threshold_is_absolute(self):
+        # v1 leaves a residual of 1e-3 against v0, so the last level's test
+        # |w0 x1 - w1 x0| <= rank_tol |w| must scale with that |w|: x_in
+        # lies 0.5 rank_tol from span(v0, v1), x_out 2 rank_tol
+        a = 1e-3
+
+        def unit_z(z):
+            return np.array([0.6 * np.sqrt(1 - z * z),
+                             0.8 * np.sqrt(1 - z * z), z])
+        vectors = [e(3, 0), np.array([np.cos(a), np.sin(a), 0]),
+                   unit_z(0.5e-9), unit_z(2e-9)]
+        flats = nonspanning_flats(vectors, 3)
+        assert flats[0].tolist() == [True, True, True, False]
+        assert np.array_equal(flats, reference_flats(vectors, 3))
 
     @pytest.mark.parametrize("n", range(7, 25, 2))
     def test_rotated_gencontextual_certificate(self, n):
-        assert _certificate(_rotated(gencontextual_upb(n), n)) == [2, n - 3]
+        ps = _rotated(gencontextual_upb(n), n)
+        assert _certificate(ps) == [2, n - 3]
+        _assert_reference_flats(ps)
 
     @pytest.mark.parametrize("p,cert", [(13, [6, 6]), (17, [8, 8])])
     def test_rotated_quadres_certificate(self, p, cert):
-        assert _certificate(_rotated(quadres_upb(p), p)) == cert
+        ps = _rotated(quadres_upb(p), p)
+        assert _certificate(ps) == cert
+        _assert_reference_flats(ps)
 
     def test_rotated_genpyramid_certificate(self):
         ps = assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4))
@@ -503,6 +557,14 @@ class TestProductSetValidation:
         with pytest.raises(DimensionMismatch, match="party dimension"):
             product_set(dims, [])
 
+    def test_no_parties_rejected(self):
+        with pytest.raises(DimensionMismatch, match="no parties"):
+            product_set((), [])
+
+    def test_no_states_rejected(self):
+        with pytest.raises(EmptyFamily, match="no states"):
+            product_set((2, 2), [])
+
     def test_non_finite_witness_rejected(self):
         ps = product_set((2, 2), [(e(2, 0), e(2, 0))])
         with pytest.raises(NotUpb, match="witness"):
@@ -527,6 +589,19 @@ class TestBoundEntangledState:
         ps = pyramid_upb()
         with pytest.raises(NotUpb):
             bound_entangled_state(ps)
+
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    def test_complete_basis_has_no_state(self, method):
+        # auto certifies this basis as [2, 1]; its complement is empty, so
+        # the state's normalization D - k would divide by 0
+        h = 1 / math.sqrt(2)
+        ps = product_set((2, 2), [(e(2, 0), e(2, 0)), (e(2, 0), e(2, 1)),
+                                  (e(2, 1), np.array([h, h])),
+                                  (e(2, 1), np.array([h, -h]))])
+        v = verify_upb(ps, method=method)
+        with pytest.raises(NotUpb) as err:
+            bound_entangled_state(ps, v)
+        assert err.value.details["status"] == "CompleteBasis"
 
     def test_rejects_extendible_verdict(self):
         ps = product_set((3, 3), [(e(3, 0), e(3, 0)), (e(3, 1), e(3, 1))])
