@@ -224,20 +224,25 @@ def cmd_alpha(a):
     return {"n": g.n, "alpha": size, "witness": list(witness)}
 
 
-def _bound_entangled(a, tol):
-    """The named or --in UPB, its verdict and its bound entangled state,
-    which bes and lee need bipartite."""
-    ps = _from_args(a, UPB)
-    verdict = upb.verify_upb(ps, tol, a.method)
-    rho = upb.bound_entangled_state(ps, verdict)
-    if len(rho.party_dims) != 2:
+def _bipartite(a, ps):
+    """ps, which bes and lee need bipartite."""
+    if len(ps.party_dims) != 2:
         raise UsageError(f"{a.command} needs a bipartite UPB")
-    return ps, verdict, rho
+    return ps
+
+
+def _bound_entangled(a, ps, tol):
+    """The verdict on ps and its bound entangled state."""
+    verdict = upb.verify_upb(ps, tol, a.method)
+    return verdict, upb.bound_entangled_state(ps, verdict)
 
 
 def cmd_bes(a):
     tol = _tolerances(a)
-    ps, verdict, rho = _bound_entangled(a, tol)
+    ps = _from_args(a, UPB)
+    verdict, rho = _bound_entangled(a, ps, tol)
+    # checked after verifying: an extendible multipartite set exits NotUpb
+    _bipartite(a, ps)
     pt = partial_transpose(rho.matrix, rho.party_dims, 1)
     min_pt = float(hermitian_eig(pt)[0][0])
     overlaps = np.abs(np.einsum('kd,de,ke->k', ps.full_vectors().conj(),
@@ -263,7 +268,8 @@ def _require_search_args(a):
 
 def cmd_lee(a):
     _require_search_args(a)
-    rho = _bound_entangled(a, _tolerances(a))[2]
+    ps = _bipartite(a, _from_args(a, UPB))
+    rho = _bound_entangled(a, ps, _tolerances(a))[1]
     return entanglement.lee_upper_bound(rho.matrix, rho.party_dims, L=a.L,
                                         restarts=a.restarts,
                                         seed=a.seed).to_json()

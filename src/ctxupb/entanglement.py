@@ -7,11 +7,18 @@ sum_i (tr P_i - tr P_i^2 / tr P_i) over the reduced rows P_i is minimized
 over the Stiefel manifold by Riemannian L-BFGS with its closed-form
 gradient (Edelman, Arias & Smith 1998; Roethlisberger, Lehmann & Loss 2009).
 All restarts run as one batch, each with its own line search and history.
+Each iteration moves a restart's history to the new tangent space in two
+stacked projections, one for the step history and the new step, one for the
+gradient-change history and the old and new gradients; a projection of K
+blocks multiplies by U^H and by U once, the blocks side by side, rather than
+once per block.
 Restart 0 starts from the identity embedding (the bare eigendecomposition),
 the rest from seeded random isometries; restart r draws from the
 counter-derived stream (seed, r), so any execution order enumerates
-identical starting points. The reported value is an upper bound on the true
-convex roof.
+identical starting points, and the draws are retracted in one batched QR.
+A zero row of U has zero gradient, so restart 0 never leaves the L = r
+optimum: with restarts=1 the result is the L = r value whatever L is.
+The reported value is an upper bound on the true convex roof.
 """
 
 from __future__ import annotations
@@ -112,10 +119,19 @@ def decomposition_value(rho, dims: tuple[int, int], d: Decomposition,
 
 
 def _tangent(U, Z):
-    """Project Z onto the tangent space of the Stiefel manifold at U:
-    Z - U herm(U^H Z)."""
-    A = U.conj().swapaxes(-1, -2) @ Z
-    return Z - U @ ((A + A.conj().swapaxes(-1, -2)) / 2)
+    """Project every block Z_k of a stack Z (R, K, L, r) onto the tangent
+    space of the Stiefel manifold at U (R, L, r): Z_k - U herm(U^H Z_k).
+    All K blocks of a restart go through one product U^H [Z_1 ... Z_K], the
+    blocks side by side as an L x K*r matrix, and one product U [H_1 ... H_K].
+    Each entry is the same sum as in a per-block product, but a BLAS kernel
+    may round it differently when r is not a multiple of its column blocking
+    (4 in OpenBLAS's Haswell zgemm).
+    """
+    R, K, L, r = Z.shape
+    side = Z.transpose(0, 2, 1, 3).reshape(R, L, K * r)
+    A = (U.conj().swapaxes(-1, -2) @ side).reshape(R, r, K, r)
+    H = (A + A.conj().transpose(0, 3, 2, 1)) / 2
+    return Z - (U @ H.reshape(R, r, K * r)).reshape(R, L, K, r).swapaxes(1, 2)
 
 
 def _inner(A, B):
@@ -128,6 +144,20 @@ def _retract(Y):
     Q, R = np.linalg.qr(Y)
     d = np.diagonal(R, axis1=-2, axis2=-1)
     return Q * (d / np.abs(d))[..., None, :]
+
+
+def _starts(seed: int, R: int, L: int, r: int):
+    """Starting isometries (R, L, r): restart 0 is the identity embedding,
+    restart i > 0 the retraction of a complex Gaussian L x r matrix drawn
+    from the counter-derived stream (seed, i). The draws are retracted
+    together, in one batched QR."""
+    U = np.zeros((R, L, r), dtype=complex)
+    U[0, :r, :r] = np.eye(r)
+    for i in range(1, R):
+        rng = np.random.default_rng([seed, i])
+        U[i] = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
+    U[1:] = _retract(U[1:])
+    return U
 
 
 def _roof(U, B, da: int, db: int):
@@ -189,7 +219,7 @@ def _minimize(U, B, da: int, db: int):
     """
     R = U.shape[0]
     f, G = _roof(U, B, da, db)
-    g = _tangent(U, G)
+    g = _tangent(U, G[:, None])[:, 0]
     S = np.zeros((R, LBFGS_MEMORY) + U.shape[1:], dtype=complex)
     Y = np.zeros_like(S)
     iterations = np.zeros(R, dtype=int)
@@ -214,13 +244,13 @@ def _minimize(U, B, da: int, db: int):
             step[todo] /= 2
         # a restart whose search failed has fn == fa and stops below, so its
         # history and gradient are not used again
-        gn = _tangent(Un, Gn)
-        S[active] = np.concatenate(
-            [_tangent(Un[:, None], S[active, 1:]),
-             _tangent(Un, step[:, None, None] * d)[:, None]], axis=1)
-        Y[active] = np.concatenate(
-            [_tangent(Un[:, None], Y[active, 1:]),
-             (gn - _tangent(Un, ga))[:, None]], axis=1)
+        S[active] = _tangent(Un, np.concatenate(
+            [S[active, 1:], (step[:, None, None] * d)[:, None]], axis=1))
+        Z = _tangent(Un, np.concatenate(
+            [Y[active, 1:], ga[:, None], Gn[:, None]], axis=1))
+        gn = Z[:, -1]
+        Z[:, -2] = gn - Z[:, -2]
+        Y[active] = Z[:, :-1]
         U[active], f[active], g[active] = Un, fn, gn
         iterations[active] += 1
         done = (fa - fn) < STOP_DECREASE
@@ -239,7 +269,9 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     Riemannian L-BFGS over isometries (see `_minimize`) until an iteration
     lowers its value by less than STOP_DECREASE or MAX_ITERATIONS is
     reached; the minimum over restarts wins, ties broken by lowest restart
-    index.
+    index. Restart 0, the identity embedding, stays at the L = r optimum
+    (its rows r..L-1 are zero and get zero gradient), so restarts=1 gives
+    the L = r value for any L.
     """
     m = as_matrix(rho)
     da, db = dims
@@ -260,14 +292,8 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     base_rows = (np.sqrt(lam)[:, None] * E.T).astype(complex)
 
     R = restarts
-    U = np.zeros((R, L, r), dtype=complex)
-    U[0, :r, :r] = np.eye(r)
-    for rr in range(1, R):
-        rng = np.random.default_rng([seed, rr])
-        U[rr] = _retract(rng.normal(size=(L, r))
-                         + 1j * rng.normal(size=(L, r)))
-
-    U, vals, iterations, converged = _minimize(U, base_rows, da, db)
+    U, vals, iterations, converged = _minimize(_starts(seed, R, L, r),
+                                               base_rows, da, db)
     vals = np.maximum(vals, 0.0)
     best_idx = int(vals.argmin())
     rows = U[best_idx] @ base_rows

@@ -409,6 +409,28 @@ class TestErrors:
         assert captured.err == ("usage error: csv output is not defined for "
                                 "this command\n")
 
+    @pytest.mark.parametrize("m,t", [(3, 2), (4, 3), (7, 4)],
+                             ids=["upb", "extendible", "not-orthogonal"])
+    def test_lee_refuses_multipartite_before_verifying(self, capsys,
+                                                       monkeypatch, m, t):
+        def fail(*args, **kwargs):
+            raise AssertionError("set was verified")
+
+        monkeypatch.setattr(upb, "verify_upb", fail)
+        code = cli.run(["lee", "genpyramid", "--m", str(m), "--t", str(t)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "usage error: lee needs a bipartite UPB\n"
+
+    @pytest.mark.parametrize("m,t,error", [(4, 3, "NotUpb"),
+                                           (7, 4, "NotOrthogonalSet")])
+    def test_bes_verifies_multipartite_first(self, capsys, m, t, error):
+        code, out = run_cli(["bes", "genpyramid", "--m", str(m), "--t",
+                             str(t)], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == error
+
     def test_negative_paley_order_domain_error(self, capsys):
         code, out = run_cli(["alpha", "paley", "--q", "-3"], capsys)
         assert code == 1

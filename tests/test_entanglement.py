@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ctxupb.entanglement import (TABLE1_ROWS, Decomposition, _inner, _retract,
-                                 _roof, _tangent, decomposition_value,
-                                 lee_upper_bound, linear_entropy,
-                                 pure_lee_term, table1)
+                                 _roof, _starts, _tangent,
+                                 decomposition_value, lee_upper_bound,
+                                 linear_entropy, pure_lee_term, table1)
 from ctxupb.errors import BadDecomposition, BadSize, DimensionMismatch
 from ctxupb.families import pyramid
 from ctxupb.linalg import hermitian_eig
@@ -167,19 +167,25 @@ class TestLeeUpperBound:
 
     def test_restart_results_independent_of_batch(self):
         rho = pyramid_bes()
-        one = lee_upper_bound(rho, (3, 3), L=5, restarts=1, seed=7)
-        four = lee_upper_bound(rho, (3, 3), L=5, restarts=4, seed=7)
-        eight = lee_upper_bound(rho, (3, 3), L=5, restarts=8, seed=7)
-        assert one.iterations[0] == eight.iterations[0]
-        assert abs(one.restart_values[0] - eight.restart_values[0]) <= 1e-12
-        assert four.iterations == eight.iterations[:4]
-        assert np.allclose(four.restart_values, eight.restart_values[:4],
-                           rtol=0, atol=1e-12)
-        assert len(eight.iterations) == len(eight.restart_values) == 8
-        assert all(1 <= n <= 500 for n in eight.iterations)
-        assert eight.value == min(eight.restart_values)
-        assert "restart_values" not in eight.to_json()
-        assert "iterations" not in eight.to_json()
+        for L in (5, 16):
+            runs = {R: lee_upper_bound(rho, (3, 3), L=L, restarts=R, seed=7)
+                    for R in (1, 4, 8, 64)}
+            full = runs[64]
+            for R, res in runs.items():
+                assert res.iterations == full.iterations[:R]
+                assert res.restart_values == full.restart_values[:R]
+            assert len(full.iterations) == len(full.restart_values) == 64
+            assert all(1 <= n <= 500 for n in full.iterations)
+            assert full.value == min(full.restart_values)
+            assert "restart_values" not in full.to_json()
+            assert "iterations" not in full.to_json()
+
+    def test_single_restart_stays_at_rank_optimum(self):
+        # restart 0 is the identity embedding: its zero rows get zero
+        # gradient, so it returns the L = r = 4 optimum at any L
+        res = lee_upper_bound(pyramid_bes(), (3, 3), L=16, restarts=1)
+        assert abs(res.value - 0.1357291768) <= 1e-9
+        assert res.best.size == 4
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(BadSize):
@@ -206,7 +212,7 @@ class TestRoofGradient:
             U[:, -1] = 0
         f, G = _roof(U, B, da, db)
         Z = rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape)
-        xi = _tangent(U, Z)
+        xi = _tangent(U, Z[:, None])[:, 0]
         A = U.conj().swapaxes(-1, -2) @ xi        # tangent: U^H xi skew
         assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) <= 1e-12
         h = 1e-6
@@ -214,9 +220,53 @@ class TestRoofGradient:
               - _roof(U - h * xi, B, da, db)[0]) / (2 * h)
         scale = np.max(np.abs(fd)) + 1.0
         assert np.max(np.abs(fd - _inner(G, xi))) <= 1e-7 * scale
-        assert np.max(np.abs(fd - _inner(_tangent(U, G), xi))) <= 1e-7 * scale
+        assert np.max(np.abs(fd - _inner(_tangent(U, G[:, None])[:, 0], xi))
+                      ) <= 1e-7 * scale
         if zero_row:
             assert np.all(G[:, -1] == 0)
+
+
+def block_tangent(U, Z):
+    """Z - U herm(U^H Z) for one block per restart."""
+    A = U.conj().swapaxes(-1, -2) @ Z
+    return Z - U @ ((A + A.conj().swapaxes(-1, -2)) / 2)
+
+
+class TestStackedProjection:
+    @pytest.mark.parametrize("r", [2, 4])
+    @pytest.mark.parametrize("L", [5, 16])
+    @pytest.mark.parametrize("K", [1, 8, 9])
+    def test_matches_per_block_projection(self, rng, K, L, r):
+        U = _retract(rng.normal(size=(3, L, r))
+                     + 1j * rng.normal(size=(3, L, r)))
+        Z = (rng.normal(size=(3, K, L, r))
+             + 1j * rng.normal(size=(3, K, L, r)))
+        stacked = _tangent(U, Z)
+        per_block = np.stack([block_tangent(U, Z[:, k]) for k in range(K)],
+                             axis=1)
+        if K == 1 or r % 4 == 0:
+            # every block's columns sit where the BLAS kernel's column
+            # blocking puts them in a product of that block alone
+            assert np.array_equal(stacked, per_block)
+        else:
+            scale = np.max(np.abs(Z)) + 1.0
+            assert np.max(np.abs(stacked - per_block)) <= (
+                16 * L * np.finfo(float).eps * scale)
+
+
+class TestStarts:
+    @pytest.mark.parametrize("L,r", [(5, 4), (16, 4), (9, 3)])
+    def test_batched_starts_match_per_restart_retraction(self, L, r):
+        seed, R = 11, 9
+        U = _starts(seed, R, L, r)
+        assert np.array_equal(U[0], np.eye(L, r))
+        for i in range(1, R):
+            rng = np.random.default_rng([seed, i])
+            Y = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
+            assert np.array_equal(U[i], _retract(Y))
+
+    def test_single_restart_has_no_draws(self):
+        assert np.array_equal(_starts(7, 1, 5, 4), np.eye(5, 4)[None])
 
 
 @pytest.fixture(scope="module")
