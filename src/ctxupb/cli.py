@@ -5,8 +5,9 @@ and UPB builders; build_family, build_upb, the name/--in arguments and the
 equiv name:p1,p2 tokens all resolve through it. COMMANDS gives each
 subcommand its handler, help and arguments. A handler returns its JSON
 result; run() emits it as one JSON object (default), as CSV where
-CSV_LAYOUTS has a layout, or rendered with --format pretty. Domain errors
-exit 1 with a machine-readable error object; usage errors exit 2.
+CSV_LAYOUTS has a layout, or rendered with --format pretty. Domain errors,
+and arrays too large to allocate, exit 1 with a machine-readable error
+object; usage errors, a bad --tol among them, exit 2.
 
 run() parses a call that starts with a command by a parser for that
 command alone; make_parser(), one subparser per command, parses the rest
@@ -156,8 +157,8 @@ def _from_args(a, kind: int):
 def _tolerances(a) -> Tolerances:
     if a.tol is None:
         return Tolerances()
-    if not a.tol > 0:
-        raise UsageError("--tol must be positive")
+    if not 0 < a.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
     return Tolerances(orth_tol=a.tol, rank_tol=a.tol, psd_tol=a.tol)
 
 
@@ -437,6 +438,7 @@ def run(argv) -> int:
     try:
         if a.format == "csv" and a.command not in CSV_LAYOUTS:
             raise UsageError("csv output is not defined for this command")
+        _tolerances(a)   # a bad --tol fails every command, not just its users
         result = a.fn(a)
         if a.format == "json":
             doc = {"command": a.command, "config": _config_echo(a),
@@ -456,9 +458,15 @@ def run(argv) -> int:
         sys.stderr.write(f"usage error: {e}\n")
         return 2
     except DomainError as e:
-        doc = {"error": e.name, "message": str(e), "details": e.details}
-        sys.stdout.write(jsonio.dumps(doc) + "\n")
-        return 1
+        return _error(e.name, str(e), e.details)
+    except MemoryError as e:   # an array too large to allocate
+        return _error("OutOfMemory", str(e) or "out of memory", {})
+
+
+def _error(name: str, message: str, details: dict) -> int:
+    doc = {"error": name, "message": message, "details": details}
+    sys.stdout.write(jsonio.dumps(doc) + "\n")
+    return 1
 
 
 def main() -> None:

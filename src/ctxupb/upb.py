@@ -332,15 +332,17 @@ def nonspanning_flats(vectors, dim: int,
     lexicographic order of their subsets, and several leaves may give the
     same flat.
 
-    The tree is expanded breadth first, one numpy batch for the subtrees of
-    a run of nodes, when every two consecutive levels of those subtrees fit
-    together in what is left of SCAN_BUDGET complex elements beside the
-    levels held above them. A node at depth t counts its k - t columns of
-    dim - t residual coordinates, three complex temporaries per column (the
+    The tree is walked depth first in runs of each level's nodes, one numpy
+    batch per run: a run at depth t has as many nodes as fit their at most
+    k - r + 1 children each at depth t + 1 in SCAN_BUDGET complex elements,
+    and at least one. A node at depth t counts its k - t columns of dim - t
+    residual coordinates, three complex temporaries per column (the
     projection coefficients, one product and the gather index) and its ids,
-    kept in the smallest unsigned integer type that holds k - 1. Larger runs
-    are split, and a node whose subtree alone does not fit has its children
-    computed without their subtrees.
+    kept in the smallest unsigned integer type that holds k - 1. A run's
+    subtrees are walked before the next run, so leaves keep their order.
+    The walk holds one run's children per level of the current path: at
+    most r times SCAN_BUDGET complex elements, plus a lone node's children
+    where they alone exceed SCAN_BUDGET.
     """
     k = len(vectors)
     r = min(dim - 1, k)
@@ -352,15 +354,6 @@ def nonspanning_flats(vectors, dim: int,
 
     def node_size(depth):
         return (k - depth) * (dim - depth + 3 + id_size)
-
-    @functools.lru_cache(maxsize=None)
-    def level_sizes(depth, last):
-        levels, rem = r - depth, k - 1 - last
-        return np.array([math.comb(rem - levels + s, s) * node_size(depth + s)
-                         for s in range(levels + 1)])
-
-    def peak(sizes):
-        return (sizes[:-1] + sizes[1:]).max()
 
     def leaf(ids, inside):
         flats = np.ones((len(ids), k), dtype=bool)
@@ -392,37 +385,21 @@ def nonspanning_flats(vectors, dim: int,
             return None
         return level, ids, cols + depth
 
-    def scan(level, ids, lasts, depth, avail):
+    def scan(level, ids, lasts, depth):
         # level: residuals (nodes, k-depth, dim-depth) of nodes at `depth`
         # whose prefixes end with `lasts`, ids: their members (nodes,
-        # k-depth); avail: complex elements it may add
-        fits = False
-        while True:
-            if not fits:
-                rest = avail - len(lasts) * node_size(depth)
-                sizes = [level_sizes(depth, i) for i in lasts.tolist()]
-                if peak(sum(sizes)) <= avail:
-                    fits = True
-                elif len(lasts) > 1:
-                    start, run = 0, 0
-                    for i, size in enumerate(sizes):
-                        if i > start and peak(run + size) > rest:
-                            scan(level[start:i], ids[start:i], lasts[start:i],
-                                 depth, rest)
-                            start, run = i, 0
-                        run = run + size
-                    scan(level[start:], ids[start:], lasts[start:], depth,
-                         rest)
-                    return
-                else:
-                    avail = rest   # one node: compute its children alone
-            children = expand(level, ids, lasts, depth)
-            if children is None:
-                return
-            (level, ids, lasts), depth = children, depth + 1
+        # k-depth); each run of `step` nodes has its subtrees walked in turn.
+        # Leaves have node_size(r) = 0 when k = r.
+        children_size = max(1, (k - r + 1) * node_size(depth + 1))
+        step = max(1, int(SCAN_BUDGET // children_size))
+        for s in range(0, len(lasts), step):
+            run = slice(s, s + step)
+            children = expand(level[run], ids[run], lasts[run], depth)
+            if children is not None:
+                scan(*children, depth + 1)
 
     scan(np.array([as_vector(v) for v in vectors])[None],
-         np.arange(k, dtype=id_type)[None], np.array([-1]), 0, SCAN_BUDGET)
+         np.arange(k, dtype=id_type)[None], np.array([-1]), 0)
     return np.concatenate(leaves) if leaves else np.ones((1, k), dtype=bool)
 
 
@@ -479,7 +456,7 @@ def _complement(vectors, dim: int, tol: float) -> np.ndarray:
             if i >= len(vectors):
                 return w / n
             basis.append(w / n)
-    raise NotUpb("assigned span has no complement")  # pragma: no cover
+    raise NotUpb("assigned span has no complement")
 
 
 def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,

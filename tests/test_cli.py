@@ -316,6 +316,28 @@ class TestErrors:
         assert doc["error"] == "BadSize"
         assert doc["details"]["L"] == 0
 
+    @pytest.mark.parametrize("argv", [["lee", "pyramid"], ["table1"]],
+                             ids=["lee", "table1"])
+    def test_unallocatable_array_exit_1(self, capsys, argv):
+        # 10**15 decomposition vectors ask numpy for 3.55 EiB at once, which
+        # it refuses without allocating anything
+        code, out = run_cli(argv + ["--L", str(10 ** 15)], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"] == "OutOfMemory"
+
+    @pytest.mark.parametrize("tol", ["0.5", "1"])
+    def test_coarse_tol_leaves_no_complement_exit_1(self, capsys, tol):
+        # so coarse a rank_tol finds an extension whose parts leave no
+        # standard-basis vector a residual above it
+        code, out = run_cli(["verify-upb", "--tol", tol, "pyramid"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc == {"error": "NotUpb", "details": {},
+                       "message": "assigned span has no complement"}
+
     def test_usage_error_exit_2(self, capsys):
         code = cli.run(["family", "one-param"])  # missing --theta
         assert code == 2
@@ -327,6 +349,8 @@ class TestErrors:
         ["alpha", "--in", "{tmp}/wrong_kind.json"],
         ["lee", "pyramid", "--restarts", "0"],
         ["verify-upb", "pyramid", "--tol", "-1"],
+        ["graph", "--tol", "inf", "pyramid"],
+        ["family", "pyramid", "--tol", "nan"],
         ["verify-upb", "one-param", "--theta", "acos(2)"],
         ["bes", "genpyramid", "--m", "3", "--t", "2"],
         ["lee", "genpyramid", "--m", "3", "--t", "2", "--restarts", "2"],
@@ -354,6 +378,7 @@ class TestErrors:
         ["alpha", "--in", "{tmp}/graph.json", "--n", "5"],
     ], ids=["missing-in", "missing-equiv-operand", "malformed-json",
             "wrong-kind-json", "zero-restarts", "negative-tol",
+            "infinite-tol", "nan-tol",
             "angle-outside-domain", "three-party-bes", "three-party-lee",
             "negative-lee-seed",
             "negative-table1-seed", "fractional-edge-endpoint",
@@ -468,10 +493,19 @@ class TestCsvFormats:
         assert "value" in out
 
 
+INF_TOL_CALLS = (   # a valid call of each command, run with --tol inf
+    ["family", "pyramid"], ["graph", "pyramid"], ["verify-upb", "pyramid"],
+    ["strength", "pyramid"], ["theta", "cycle", "--n", "5"],
+    ["alpha", "cycle", "--n", "5"], ["bes", "pyramid"], ["lee", "pyramid"],
+    ["equiv", "pyramid", "kcbs"], ["table1"], ["table2"])
+assert {call[0] for call in INF_TOL_CALLS} == set(cli.COMMANDS)
+
+
 def _sweep_cases():
     """Each integer parameter of each named target, and alpha/theta graph
     orders, set to -3, 0, 1 and 2 (other parameters at their smallest
-    valid values); the one all-valid genpyramid call is left out."""
+    valid values); the one all-valid genpyramid call is left out. Then
+    every command with --tol inf."""
     valid = {"m": 2, "t": 2}
     for name, (params, *builders) in cli.TARGETS.items():
         commands = [c for c, b in zip(("family", "verify-upb"), builders) if b]
@@ -486,6 +520,8 @@ def _sweep_cases():
         for family, flag in (("cycle", "--n"), ("paley", "--q")):
             for v in (-3, 0, 1, 2):
                 yield [command, family, flag, str(v)]
+    for call in INF_TOL_CALLS:
+        yield [*call, "--tol", "inf"]
 
 
 @pytest.mark.parametrize("argv", list(_sweep_cases()), ids="_".join)

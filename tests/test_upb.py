@@ -202,8 +202,9 @@ class TestExactVerifier:
 
     def test_genpyramid_9_witness_independent_of_scan_batches(
             self, monkeypatch):
-        # budget 0 walks each tree node alone, 2048 batches subtrees; the
-        # search and so its witness must not depend on the batching
+        # budget 0 walks each tree node alone, 2048 expands runs of several
+        # nodes per level; the search and so its witness must not depend on
+        # the run length
         ps = assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4))
         want = verify_upb(ps, method="exact").witness
         for budget in (0, 2048):
@@ -372,13 +373,13 @@ def _repeated_rows_set(rng):
     return _units(rows), 5
 
 
-def _batch_sizes(monkeypatch):
+def _batch_sizes(monkeypatch, names=("_child_residuals", "_plane_leaves")):
     """List that collects, for every batched step of the scan, the number
     of tree nodes whose children the step computes: residuals of inner
     nodes (_child_residuals) or the in-span masks of leaves in C^2
-    (_plane_leaves)."""
+    (_plane_leaves); names picks the steps it spies on."""
     sizes = []
-    for name in ("_child_residuals", "_plane_leaves"):
+    for name in names:
         def spy(res, *args, real=getattr(upb, name)):
             sizes.append(res.shape[0])
             return real(res, *args)
@@ -453,10 +454,10 @@ class TestBatchedNonspanningScan:
 
     @pytest.mark.parametrize("k,dim", [(12, 4), (9, 5), (16, 3), (14, 6)])
     def test_scan_spanning_several_chunks(self, k, dim, monkeypatch):
-        # budget 0 expands every tree node alone; 2048 batches whole subtrees
-        # of several nodes on these sets, but not the whole tree. The planted
-        # block puts the largest non-spanning subsets last in lexicographic
-        # order.
+        # budget 0 expands every tree node alone; 2048 expands runs of
+        # several nodes per level on these sets, but not a whole level at
+        # once. The planted block puts the largest non-spanning subsets last
+        # in lexicographic order.
         batches = _batch_sizes(monkeypatch)
         rng = np.random.default_rng([k, dim])
         vectors = _planted_set(rng, k, dim, dim + 1, dim - 1)
@@ -498,6 +499,18 @@ class TestBatchedNonspanningScan:
         ps = _rotated(gencontextual_upb(n), n)
         assert _certificate(ps) == [2, n - 3]
         _assert_reference_flats(ps)
+
+    def test_thin_deep_tree_in_few_steps(self, monkeypatch):
+        # gencontextual 35's second party: 35 members in C^33, a tree 32
+        # levels deep with at most 4 children per node. Runs of a level's
+        # nodes take 1,922 residual steps here; splitting the walk by
+        # subtree sizes took 9,177.
+        ps = _rotated(gencontextual_upb(35), 35)
+        vectors = [ps.factor(j, 1) for j in range(ps.k)]
+        batches = _batch_sizes(monkeypatch, ("_child_residuals",))
+        flats = nonspanning_flats(vectors, 33)
+        assert len(batches) <= 2500
+        assert np.array_equal(flats, reference_flats(vectors, 33))
 
     @pytest.mark.parametrize("p,cert", [(13, [6, 6]), (17, [8, 8])])
     def test_rotated_quadres_certificate(self, p, cert):
