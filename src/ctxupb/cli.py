@@ -4,10 +4,11 @@ TARGETS maps each named construction to its parameters and to its family
 and UPB builders; build_family, build_upb, the name/--in arguments and the
 equiv name:p1,p2 tokens all resolve through it. COMMANDS gives each
 subcommand its handler, help and arguments. A handler returns its JSON
-result; run() emits it as one JSON object (default), as CSV where
-CSV_LAYOUTS has a layout, or rendered with --format pretty. Domain errors,
-and arrays too large to allocate, exit 1 with a machine-readable error
-object; usage errors, a bad --tol among them, exit 2.
+result, with float arrays as numpy arrays; run() emits it as one JSON
+object (default), as CSV where CSV_LAYOUTS has a layout, or rendered with
+--format pretty. Domain errors, and arrays too large to allocate, exit 1
+with a machine-readable error object; usage errors, a bad --tol among
+them, exit 2.
 
 run() parses a call that starts with a command by a parser for that
 command alone; make_parser(), one subparser per command, parses the rest
@@ -246,8 +247,8 @@ def cmd_bes(a):
     _bipartite(a, ps)
     pt = partial_transpose(rho.matrix, rho.party_dims, 1)
     min_pt = float(hermitian_eig(pt)[0][0])
-    overlaps = np.abs(np.einsum('kd,de,ke->k', ps.full_vectors().conj(),
-                                rho.matrix, ps.full_vectors()).real)
+    vs = ps.full_vectors()
+    overlaps = np.abs(np.einsum('kd,de,ke->k', vs.conj(), rho.matrix, vs).real)
     return {
         "status": verdict.status,
         "party_dims": list(rho.party_dims),
@@ -256,7 +257,7 @@ def cmd_bes(a):
         "min_pt_eigenvalue": min_pt,
         "ppt": min_pt >= -tol.psd_tol,
         "max_member_overlap": float(np.max(overlaps)),
-        "matrix": rho.to_json()["matrix"],
+        "matrix": np.stack([rho.matrix.real, rho.matrix.imag], axis=-1),
     }
 
 
@@ -320,7 +321,8 @@ def _to_csv(command: str, result) -> str:
 
 def _to_pretty(doc) -> str:
     """One "key: value" or "- value" line per entry; a non-empty dict, or a
-    list longer than 8 or holding containers, opens an indented block."""
+    list (an array as its nested lists) longer than 8 or holding
+    containers, opens an indented block."""
     lines = []
 
     def flat(v):
@@ -333,6 +335,8 @@ def _to_pretty(doc) -> str:
     def walk(obj, pad):
         for label, v in (((f"{k}:", v) for k, v in obj.items())
                          if isinstance(obj, dict) else (("-", v) for v in obj)):
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
             if isinstance(v, dict) and v or isinstance(v, list) and (
                     len(v) > 8 or any(isinstance(x, (dict, list)) for x in v)):
                 lines.append(pad + label)

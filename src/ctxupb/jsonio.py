@@ -1,11 +1,13 @@
 """Deterministic JSON emission: dict key order is preserved as constructed
 and every float is rendered with 12 significant digits, so identical inputs
 produce byte-identical output. numpy integer, bool and floating scalars are
-written exactly as the Python int, bool and float of the same value.
+written exactly as the Python int, bool and float of the same value, and a
+float ndarray exactly as its nested lists.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -21,6 +23,15 @@ def format_float(x: float) -> str:
     return s
 
 
+@functools.lru_cache(maxsize=16)
+def _template(shape: tuple) -> str:
+    """%-format template of nested lists of the given shape, one %.12g per
+    entry."""
+    if not shape:
+        return "%.12g"
+    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+
+
 def dumps(obj) -> str:
     parts: list[str] = []
     _emit(obj, parts)
@@ -32,6 +43,12 @@ def _emit(obj, parts: list[str]) -> None:
         parts.append("null")
     elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        # format_float's rules on every entry: + 0.0 turns -0.0 into 0
+        if not np.isfinite(obj).all():
+            raise ValueError("non-finite float in output")
+        parts.append(_template(obj.shape)
+                     % tuple((obj + 0.0).ravel().tolist()))
     elif isinstance(obj, (bool, np.bool_)):
         parts.append("true" if obj else "false")
     elif isinstance(obj, str):

@@ -6,18 +6,23 @@ Verification follows the two graph-theoretic conditions for unextendibility:
 (2) the states must not split into parts S_1, ..., S_n such that the
 party-m factors of S_m fail to span party m's space for every m (such a
 split exists exactly when some product state is orthogonal to all the
-states). One verifier, verify_upb, checks (1) and then (2) from one walk
-per party, nonspanning_flats, which lists the party's hyperplane flats:
-every non-spanning subset lies in one. The largest flat sizes form a
-certificate: if they sum below k, (2) holds. If they do not, a depth-first
-search gives each party in turn one of its flats' intersections with the
-states still left, until the parts cover every state (an extension), no
-branch is left, or it has tried SEARCH_BUDGET flat nodes.
+states). One verifier, verify_upb, checks (1) and then (2) from each
+party's hyperplane flats: every non-spanning subset lies in one. The
+largest flat sizes form a certificate: if they sum below k, (2) holds. A
+party whose members are in general position with room to spare, checked
+on the null space of its k x d factor matrix (_general_position), has
+largest flat d - 1; any other party is walked once (nonspanning_flats),
+which lists its flats. If the certificate does not close, the parties not
+yet walked are walked too, and a depth-first search gives each party in
+turn one of its flats' intersections with the states still left, until
+the parts cover every state (an extension), no branch is left, or it has
+tried SEARCH_BUDGET flat nodes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -83,7 +88,20 @@ class ProductSet:
         return self.states[state][party]
 
     def full_vectors(self) -> np.ndarray:
-        return np.array([kron_all(st) for st in self.states])
+        """The states as vectors of C^total_dim, shape (k, total_dim),
+        read-only and built once per set."""
+        return self._full_vectors
+
+    @functools.cached_property
+    def _full_vectors(self) -> np.ndarray:
+        # one broadcast multiply per party, from party 0's factors: every
+        # entry is kron_all's product, in its order, signed zeros included
+        out = np.array([st[0] for st in self.states], dtype=complex)
+        for m in range(1, self.n_parties):
+            f = np.array([st[m] for st in self.states], dtype=complex)
+            out = (out[:, :, None] * f[:, None, :]).reshape(self.k, -1)
+        out.flags.writeable = False
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -150,13 +168,6 @@ class DensityMatrix:
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
         return int(np.count_nonzero(self.eigenvalues() > tol.psd_tol))
-
-    def to_json(self) -> dict:
-        return {
-            "party_dims": list(self.party_dims),
-            "matrix": [[[float(z.real), float(z.imag)] for z in row]
-                       for row in self.matrix],
-        }
 
 
 def assemble_mapped(family: VectorFamily, multipliers) -> ProductSet:
@@ -409,6 +420,57 @@ def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(nonspanning_flats(vectors, dim, tol).sum(axis=1).max())
 
 
+def _general_position(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
+    """dim - 1, the largest hyperplane flat nonspanning_flats would find,
+    when a check on the null space of the k vectors shows every dim of them
+    independent with room to spare; None when the check does not apply or
+    does not pass.
+
+    It applies to k members of rank dim with corank c = k - dim < dim - 1,
+    where the dual's C(k, c) c-subsets are fewer than the walk's
+    C(k, dim - 1) leaves. One SVD of the dim x k matrix R of the members
+    gives s_min(R) and an orthonormal basis N (k x c) of R's null space,
+    and
+
+        beta = s_min(R) * min over c-subsets T of |det N[T]|.
+
+    For every (dim-1)-subset S and member x not in S, dist(x, span S) >=
+    beta. Let R' = (R R^H)^(-1/2) R, with the same null space and
+    orthonormal rows, so [R'^H | N] is unitary. Jacobi's complementary-minor
+    identity for that unitary gives |det R'[:, D]| = |det N[T]| for the
+    dim-subset D = S + {x} and its complement T. |det R'[:, D]| is the volume
+    of R'S times dist(R'x, span R'S), and by Hadamard's inequality that
+    volume is at most 1, since R' has orthonormal rows and so its columns
+    have norm at most 1: dist(R'x, span R'S) >= |det N[T]|. Mapping back
+    by (R R^H)^(1/2), whose smallest singular value is s_min(R), scales
+    distances by at least s_min(R). Every residual the walk tests at a node
+    is at least one such distance, so when beta > 2 rank_tol every member
+    grows, every leaf's flat is its own dim - 1 members and the largest
+    flat is dim - 1, at the walk's margin of rank_tol. The threshold is
+    rank_tol + max(rank_tol, k dim eps s_max(R)): 2 rank_tol unless
+    rank_tol is below the rounding noise of beta and of the walk.
+
+    The c-subsets are taken in lexicographic runs of at most SCAN_BUDGET
+    complex elements of minors, and the first run whose smallest minor puts
+    beta at or below the threshold ends the check.
+    """
+    k = len(vectors)
+    c = k - dim
+    if not 0 <= c < dim - 1:
+        return None
+    _, s, vh = np.linalg.svd(np.array([as_vector(v) for v in vectors]).T)
+    null = vh[dim:].conj().T
+    noise = k * dim * np.finfo(float).eps * s[0]
+    threshold = tol.rank_tol + max(tol.rank_tol, noise)
+    subsets = itertools.combinations(range(k), c)
+    step = max(1, SCAN_BUDGET // max(1, c * c))
+    while run := list(itertools.islice(subsets, step)):
+        minors = np.linalg.det(null[np.array(run, dtype=np.intp)])
+        if not s[-1] * np.abs(minors).min() > threshold:
+            return None
+    return dim - 1
+
+
 def _flat_search(flats, k: int):
     """One take per party, bitsets of state indices that cover all k states,
     each inside one of its party's flats (masks from nonspanning_flats), or
@@ -465,11 +527,13 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
 
     Checks condition 1 (raising NotOrthogonalSet with the first pair
     orthogonal in no party), then the certificate: each party's largest
-    hyperplane flat (nonspanning_flats). If it sums below k the verdict is
-    UPB (CompleteBasis when k >= total_dim) under "exact" and
-    CertifiedUnextendible with the certificate under "auto" and "bound".
-    Otherwise "bound" raises Inconclusive, while "exact" and "auto" search
-    the same flats (_flat_search). A cover gives Extendible: each party's
+    hyperplane flat, d - 1 where _general_position shows it, and otherwise
+    from the walk (nonspanning_flats); both give the same size. If it sums
+    below k the verdict is UPB (CompleteBasis when k >= total_dim) under
+    "exact" and CertifiedUnextendible with the certificate under "auto" and
+    "bound". Otherwise "bound" raises Inconclusive, while "exact" and
+    "auto" walk the parties not yet walked and search every party's flats
+    (_flat_search). A cover gives Extendible: each party's
     witness factor is the first standard-basis vector left by ordered
     orthonormalization against the factors it took, checked against every
     member. No cover gives UPB/CompleteBasis, and SEARCH_BUDGET flat nodes
@@ -480,9 +544,11 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
     colored = _check_condition1(ps, tol)
     factors = [[ps.factor(j, m) for j in range(ps.k)]
                for m in range(ps.n_parties)]
-    flats = [nonspanning_flats(vs, d, tol)
-             for vs, d in zip(factors, ps.party_dims)]
-    cert = [int(f.sum(axis=1).max()) for f in flats]
+    flats, cert = [], []
+    for vs, d in zip(factors, ps.party_dims):
+        largest = _general_position(vs, d, tol)
+        flats.append(None if largest else nonspanning_flats(vs, d, tol))
+        cert.append(largest or int(flats[-1].sum(axis=1).max()))
     unextendible = STATUS_COMPLETE if ps.k >= ps.total_dim else STATUS_UPB
     if sum(cert) < ps.k:
         if method == "exact":
@@ -492,6 +558,8 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
     if method == "bound":
         raise Inconclusive("non-spanning certificate does not close",
                            certificate=cert, k=ps.k)
+    flats = [nonspanning_flats(vs, d, tol) if f is None else f
+             for f, vs, d in zip(flats, factors, ps.party_dims)]
     try:
         takes = _flat_search(flats, ps.k)
     except Inconclusive as e:

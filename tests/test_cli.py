@@ -257,6 +257,20 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             jsonio.dumps(np.float32("nan"))
 
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 2, 2), (9, 9, 2)])
+    def test_float_array_like_nested_lists(self, shape):
+        rng = np.random.default_rng(len(shape))
+        special = [-0.0, 1e-300, 1e300, 3.0, -12.0, 2.0 ** 60]
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        a.reshape(-1)[:len(special)] = special[:a.size]
+        assert jsonio.dumps(a) == jsonio.dumps(a.tolist())
+        assert jsonio.dumps({"m": a}) == jsonio.dumps({"m": a.tolist()})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            jsonio.dumps(np.array([[1.0, bad]]))
+
 
 class TestErrors:
     def test_domain_error_exit_1_names_condition(self, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ctxupb import upb
+from ctxupb import cli, jsonio, upb
 from ctxupb.errors import (DimensionMismatch, EmptyFamily, Inconclusive,
                            NotOrthogonalSet, NotUpb, SizeMismatch)
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
@@ -559,6 +559,112 @@ class TestNonspanningInvariance:
                 assert max_nonspanning(moved, d) == cert[m], move
 
 
+def _member_off_hyperplane(rng, dim, k, offset):
+    """k random unit vectors in C^dim whose last member lies `offset` from
+    the span of the first dim - 1, a hyperplane."""
+    vectors = _units(_gaussian(rng, k, dim))
+    q = np.linalg.qr(np.array(vectors[:dim - 1]).T, mode="complete")[0]
+    inside = q[:, :dim - 1] @ _gaussian(rng, dim - 1)
+    vectors[-1] = (np.sqrt(1 - offset ** 2) * inside / np.linalg.norm(inside)
+                   + offset * q[:, dim - 1])
+    return vectors
+
+
+class TestGeneralPosition:
+    """upb._general_position: dim - 1 only where the walk's largest flat is
+    dim - 1, and verify_upb's output as if the walk had run."""
+
+    @pytest.mark.parametrize("n", [7, 11, 15, 19, 23, 27, 31, 35, 41, 51])
+    def test_rotated_gencontextual_second_party(self, n):
+        ps = _rotated(gencontextual_upb(n), n)
+        vectors = [ps.factor(j, 1) for j in range(n)]
+        assert upb._general_position(vectors, n - 2) == n - 3
+        if n <= 41:   # the walk takes seconds from n = 51 on
+            assert max_nonspanning(vectors, n - 2) == n - 3
+
+    @pytest.mark.parametrize("corank", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_random_sets(self, dim, corank):
+        rng = np.random.default_rng([dim, corank, 5])
+        for _ in range(3):
+            vectors = _units(_gaussian(rng, dim + corank, dim))
+            got = upb._general_position(vectors, dim)
+            if corank < dim - 1:
+                assert got == dim - 1 == max_nonspanning(vectors, dim)
+            else:
+                assert got is None
+
+    @pytest.mark.parametrize("corank", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dim", [5, 7])
+    def test_planted_flat_declines(self, dim, corank):
+        # dim members in a (dim-1)-space: a flat of dim members
+        rng = np.random.default_rng([dim, corank, 9])
+        vectors = _planted_set(rng, dim + corank, dim, dim, dim - 1)
+        assert upb._general_position(vectors, dim) is None
+        assert max_nonspanning(vectors, dim) >= dim
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["repeated", "planted", "few", "dim1",
+                                      "dim2"])
+    def test_only_where_the_walk_agrees(self, kind, seed):
+        vectors, dim = _degenerate_set(kind, seed)
+        got = upb._general_position(vectors, dim)
+        assert got is None or got == max_nonspanning(vectors, dim) == dim - 1
+
+    @pytest.mark.parametrize("budget", [0, upb.SCAN_BUDGET],
+                             ids=["alone", "default"])
+    @pytest.mark.parametrize("offset,walk", [(0.5, 1), (2, 0)])
+    @pytest.mark.parametrize("dim,corank", [(4, 0), (5, 1), (6, 2), (7, 3)])
+    def test_declines_near_a_hyperplane(self, dim, corank, offset, walk,
+                                        budget, monkeypatch):
+        # 0.5 rank_tol off lies in the flat, 2 rank_tol off does not; the
+        # certificate leaves both to the walk. The small minor is that of
+        # the c-subset between the hyperplane's members and the last one,
+        # past the first run when budget 0 takes one subset a run.
+        monkeypatch.setattr(upb, "SCAN_BUDGET", budget)
+        rng = np.random.default_rng([dim, corank, 13])
+        vectors = _member_off_hyperplane(rng, dim, dim + corank,
+                                         offset * DEFAULT_TOL.rank_tol)
+        assert upb._general_position(vectors, dim) is None
+        assert max_nonspanning(vectors, dim) == dim - 1 + walk
+
+    @pytest.mark.parametrize("name,params", [
+        ("one-param", {"theta": "pi/12"}), ("pyramid", {}), ("kcbs", {}),
+        ("tiles-rep", {}), ("genpyramid", {"m": 4, "t": 3}),
+        ("genpyramid", {"m": 6, "t": 5}), ("quadres", {"p": 5}),
+        ("quadres", {"p": 13}), ("gencontextual", {"n": 7}),
+        ("gencontextual", {"n": 15}), ("gencontextual", {"n": 23})],
+        ids=lambda x: x if isinstance(x, str) else ",".join(
+            map(str, x.values())))
+    def test_verdicts_as_if_walked(self, name, params, monkeypatch):
+        base = cli.build_upb(name, **params)
+        sets = [base, *(_rotated(base, seed) for seed in range(2))]
+        methods = ("auto", "exact")
+
+        def docs():
+            return [jsonio.dumps(verify_upb(ps, method=m).to_json())
+                    for ps in sets for m in methods]
+        want = docs()
+        monkeypatch.setattr(upb, "_general_position", lambda *a: None)
+        assert docs() == want
+
+    @pytest.mark.parametrize("n", [61, 101])
+    def test_large_gencontextual_skips_the_walk(self, n, monkeypatch, capsys):
+        # the second party, n members in C^(n-2), is certified without a
+        # residual step; the first, in C^3, is walked
+        coords = []
+
+        def spy(res, *args, real=upb._child_residuals):
+            coords.append(res.shape[-1])
+            return real(res, *args)
+        monkeypatch.setattr(upb, "_child_residuals", spy)
+        assert cli.run(["verify-upb", "gencontextual", "--n", str(n)]) == 0
+        result = jsonio.loads(capsys.readouterr().out)["result"]
+        assert result["status"] == "CertifiedUnextendible"
+        assert result["certificate"] == [2, n - 3]
+        assert set(coords) == {3}
+
+
 class TestProductSetValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_factor_rejected(self, bad):
@@ -692,6 +798,30 @@ class TestGraphEquivalence:
             graphs, _ = party_graphs(ps)
             assert is_cycle(graphs[0])
             assert graphs[1].edges == complement(graphs[0]).edges
+
+
+def _signed_zero_factor(*pairs):
+    z = np.array([complex(re, im) for re, im in pairs])
+    return z / np.linalg.norm(z)
+
+
+class TestFullVectors:
+    @pytest.mark.parametrize("ps", [
+        _rotated(pyramid_upb(), 1), qubit_basis(3),
+        _rotated(assemble_mapped(genpyramid_local(4, 3), (1, 2, 3, 4)), 2),
+        product_set((2, 3, 2), [
+            (_signed_zero_factor((-1, -0.0), (-0.0, 0.0)),
+             _signed_zero_factor((0.0, -0.0), (-2, -0.0), (-0.0, 1)),
+             _signed_zero_factor((-0.0, -1), (1, -0.0))),
+            (_signed_zero_factor((-0.0, -0.0), (-1, 0.0)),
+             _signed_zero_factor((-1, 0.0), (-0.0, -0.0), (0.0, -0.0)),
+             _signed_zero_factor((-0.0, 0.0), (-0.0, -1)))])],
+        ids=["2-party", "3-qubit", "4-party", "signed-zeros"])
+    def test_bitwise_kron_all(self, ps):
+        want = np.array([kron_all(st) for st in ps.states])
+        assert ps.full_vectors().tobytes() == want.tobytes()
+        assert ps.full_vectors() is ps.full_vectors()
+        assert not ps.full_vectors().flags.writeable
 
 
 class TestSerialization:
