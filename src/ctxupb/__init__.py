@@ -13,7 +13,8 @@ from .families import (VectorFamily, one_param_family, pyramid, kcbs,
 from .upb import (ProductSet, UpbVerdict, DensityMatrix, product_set,
                   assemble_mapped, one_param_upb, gencontextual_upb,
                   quadres_upb, party_graphs, verify_upb, is_minimal,
-                  bound_entangled_state, is_ppt, upb_graph_equivalent)
+                  bound_entangled_state, min_pt_eigenvalue,
+                  upb_graph_equivalent)
 from .contextuality import (StrengthReport, ThetaValue, strength, theta_cycle,
                             theta_cycle_complement, theta_paley, is_qcg,
                             table2)

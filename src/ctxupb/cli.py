@@ -28,7 +28,7 @@ import numpy as np
 from . import contextuality, entanglement, families, graphs, jsonio, upb
 from .errors import DomainError
 from .expr import ExprError, parse_angle
-from .linalg import Tolerances, hermitian_eig, partial_transpose
+from .linalg import Tolerances
 
 # name: (parameters, family builder, UPB builder), None where the name is
 # not a family or not a UPB. The builders look the layer functions up when
@@ -245,8 +245,7 @@ def cmd_bes(a):
     verdict, rho = _bound_entangled(a, ps, tol)
     # checked after verifying: an extendible multipartite set exits NotUpb
     _bipartite(a, ps)
-    pt = partial_transpose(rho.matrix, rho.party_dims, 1)
-    min_pt = float(hermitian_eig(pt)[0][0])
+    min_pt = upb.min_pt_eigenvalue(rho)
     vs = ps.full_vectors()
     overlaps = np.abs(np.einsum('kd,de,ke->k', vs.conj(), rho.matrix, vs).real)
     return {

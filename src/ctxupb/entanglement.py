@@ -6,7 +6,9 @@ arises this way from an L x r isometry U), and the convex-roof objective
 sum_i (tr P_i - tr P_i^2 / tr P_i) over the reduced rows P_i is minimized
 over the Stiefel manifold by Riemannian L-BFGS with its closed-form
 gradient (Edelman, Arias & Smith 1998; Roethlisberger, Lehmann & Loss 2009).
-All restarts run as one batch, each with its own line search and history.
+All restarts run as one batch, each with its own line search and history;
+the line search evaluates several halvings of its straggling restarts in
+one call, and each restart accepts the step sequential halving accepts.
 Each iteration moves a restart's history to the new tangent space in two
 stacked projections, one for the step history and the new step, one for the
 gradient-change history and the old and new gradients; a projection of K
@@ -37,7 +39,8 @@ STOP_DECREASE = 1e-10   # a restart stops once an iteration gains less
 MAX_ITERATIONS = 500
 LBFGS_MEMORY = 8        # stored (step, gradient change) pairs
 ARMIJO = 1e-4           # sufficient-decrease factor of the line search
-MAX_BACKTRACKS = 40     # step halvings before a line search gives up
+MAX_BACKTRACKS = 40     # trial steps before a line search gives up
+TRIAL_POINTS = 16       # trial points per backtracking round after the first
 
 # reference columns for the five-angle table (strength, lee)
 TABLE1_ROWS = (
@@ -78,9 +81,11 @@ class LeeResult:
     restarts_used: int
     converged: bool
     seed: int
-    # per restart, in restart order: final value and L-BFGS iterations run
+    # per restart, in restart order: final value, L-BFGS iterations run and
+    # roof evaluations of sequential halving (the start, then the trial steps)
     restart_values: tuple = field(default=(), repr=False, compare=False)
     iterations: tuple = field(default=(), repr=False, compare=False)
+    evaluations: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {"value": self.value, "restarts_used": self.restarts_used,
@@ -135,8 +140,10 @@ def _tangent(U, Z):
 
 
 def _inner(A, B):
-    """Real inner product Re tr(A^H B) per leading index."""
-    return np.einsum('...ij,...ij->...', A.conj(), B).real
+    """Real inner product Re tr(A^H B) per leading index: the dot product
+    of the two float64 views, with no conjugate copy."""
+    a = A.view(float).reshape(A.shape[:-2] + (-1,))
+    return np.einsum('...i,...i->...', a, B.view(float).reshape(a.shape))
 
 
 def _retract(Y):
@@ -165,21 +172,31 @@ def _roof(U, B, da: int, db: int):
     Euclidean gradient in U.
 
     g(M) = t - s/t for the da x db reshaped row M with P = M M^H, t = tr P,
-    s = tr P^2; dg/dM-bar = M (1 + s/t^2) - 2 P M / t. Rows with t <= 1e-30
-    contribute 0 to both.
+    s = tr P^2 = sum |P_ab|^2; dg/dM-bar = M (1 + s/t^2) - 2 P M / t. Rows
+    with t <= 1e-30 contribute 0 to both. X and the gradient are 2-D
+    products over all rows; P and P M are sums of elementwise products.
     """
-    X = U @ B
-    M = X.reshape(X.shape[:-1] + (da, db))
-    P = M @ M.conj().swapaxes(-1, -2)
-    t = np.einsum('...aa->...', P).real
-    s = np.einsum('...ab,...ba->...', P, P).real
+    R, L, r = U.shape
+    X = U.reshape(R * L, r) @ B
+    M = X.reshape(R * L, da, db)
+    Mc = M.conj()
+    P = M[:, :, None, 0] * Mc[:, None, :, 0]
+    for c in range(1, db):
+        P += M[:, :, None, c] * Mc[:, None, :, c]
+    PM = P[:, :, 0, None] * M[:, None, 0]
+    for b in range(1, da):
+        PM += P[:, :, b, None] * M[:, None, b]
+    t = np.einsum('naa->n', P).real
+    Pf = P.reshape(R * L, -1).view(float)
+    s = np.einsum('ni,ni->n', Pf, Pf)
     live = t > 1e-30
     t = np.where(live, t, 1.0)
-    f = np.where(live, t - s / t, 0.0).sum(axis=-1)
-    dM = (M * (1 + s / t ** 2)[..., None, None]
-          - 2 * (P @ M) / t[..., None, None])
-    dM = np.where(live[..., None, None], dM, 0.0)
-    return f, 2 * dM.reshape(X.shape) @ B.conj().T
+    f = np.where(live, t - s / t, 0.0).reshape(R, L).sum(axis=-1)
+    # 2 dg/dM-bar, zero on dead rows
+    c1 = np.where(live, 2 * (1 + s / t ** 2), 0.0)[:, None, None]
+    c2 = np.where(live, -4 / t, 0.0)[:, None, None]
+    dM = c1 * M + c2 * PM
+    return f, (dM.reshape(R * L, da * db) @ B.conj().T).reshape(R, L, r)
 
 
 def _lbfgs_direction(g, S, Y):
@@ -205,17 +222,51 @@ def _lbfgs_direction(g, S, Y):
     return -q
 
 
+def _line_search(Ua, fa, d, slope, B, da: int, db: int):
+    """Armijo backtracking along d: each restart accepts the first step
+    2^-j, j < MAX_BACKTRACKS, with f(retract(U + 2^-j d)) <= f + ARMIJO 2^-j
+    slope. After a round of unit steps, each round evaluates the next
+    max(1, TRIAL_POINTS // searching) halvings of every restart still
+    searching in one `_retract` and `_roof` call. Returns the steps
+    (2^-MAX_BACKTRACKS where none passed, with the old point and value and a
+    zero gradient), points, values, Euclidean gradients, and the trial steps
+    that sequential halving evaluates."""
+    Un, fn, Gn = Ua.copy(), fa.copy(), np.zeros_like(Ua)
+    halved = np.full(len(fa), MAX_BACKTRACKS)
+    todo = np.arange(len(fa))
+    tried = 0
+    while todo.size and tried < MAX_BACKTRACKS:
+        h = max(1, TRIAL_POINTS // todo.size) if tried else 1
+        h = min(h, MAX_BACKTRACKS - tried)
+        step = np.ldexp(1.0, -np.arange(tried, tried + h))
+        Ut = _retract((Ua[todo, None] + step[:, None, None] * d[todo, None])
+                      .reshape((-1,) + Ua.shape[1:]))
+        ft, Gt = _roof(Ut, B, da, db)
+        ok = ft.reshape(-1, h) <= (fa[todo, None]
+                                   + ARMIJO * step * slope[todo, None])
+        hit = ok.any(axis=1)
+        first = ok.argmax(axis=1)[hit]
+        rows = np.flatnonzero(hit) * h + first
+        acc = todo[hit]
+        Un[acc], fn[acc], Gn[acc] = Ut[rows], ft[rows], Gt[rows]
+        halved[acc] = tried + first
+        todo = todo[~hit]
+        tried += h
+    return (np.ldexp(1.0, -halved), Un, fn, Gn,
+            np.minimum(halved + 1, MAX_BACKTRACKS))
+
+
 def _minimize(U, B, da: int, db: int):
     """Batched Riemannian L-BFGS over isometries U (R, L, r).
 
-    Each restart takes Armijo backtracking steps along its own two-loop
-    direction, retracted by phase-fixed QR, and moves its history pairs to
-    the new point by tangent projection. It stops once an iteration lowers
-    its value by less than STOP_DECREASE, or after MAX_ITERATIONS. Every
-    operation acts on each restart separately, so a restart's path does not
-    depend on the rest of the batch.
-    Returns the final isometries, values, iteration counts and converged
-    flags.
+    Each restart takes Armijo backtracking steps (`_line_search`, several
+    halvings per call) along its own two-loop direction, retracted by
+    phase-fixed QR, and moves its history pairs to the new point by tangent
+    projection. It stops once an iteration lowers its value by less than
+    STOP_DECREASE, or after MAX_ITERATIONS. Every operation acts on each
+    restart separately, so a restart's path does not depend on the rest of
+    the batch. Returns the final isometries, values, iteration and
+    evaluation counts and converged flags.
     """
     R = U.shape[0]
     f, G = _roof(U, B, da, db)
@@ -223,25 +274,15 @@ def _minimize(U, B, da: int, db: int):
     S = np.zeros((R, LBFGS_MEMORY) + U.shape[1:], dtype=complex)
     Y = np.zeros_like(S)
     iterations = np.zeros(R, dtype=int)
+    evaluations = np.ones(R, dtype=int)
     converged = np.zeros(R, dtype=bool)
     active = np.arange(R)
     for _ in range(MAX_ITERATIONS):
         Ua, fa, ga = U[active], f[active], g[active]
         d = _lbfgs_direction(ga, S[active], Y[active])
-        slope = _inner(ga, d)
-        step = np.ones(active.size)
-        Un, fn, Gn = Ua.copy(), fa.copy(), np.zeros_like(Ua)
-        todo = np.arange(active.size)
-        for _ in range(MAX_BACKTRACKS):
-            Ut = _retract(Ua[todo] + step[todo, None, None] * d[todo])
-            ft, Gt = _roof(Ut, B, da, db)
-            ok = ft <= fa[todo] + ARMIJO * step[todo] * slope[todo]
-            acc = todo[ok]
-            Un[acc], fn[acc], Gn[acc] = Ut[ok], ft[ok], Gt[ok]
-            todo = todo[~ok]
-            if todo.size == 0:
-                break
-            step[todo] /= 2
+        step, Un, fn, Gn, tries = _line_search(Ua, fa, d, _inner(ga, d),
+                                               B, da, db)
+        evaluations[active] += tries
         # a restart whose search failed has fn == fa and stops below, so its
         # history and gradient are not used again
         S[active] = _tangent(Un, np.concatenate(
@@ -258,7 +299,7 @@ def _minimize(U, B, da: int, db: int):
         active = active[~done]
         if active.size == 0:
             break
-    return U, f, iterations, converged
+    return U, f, iterations, evaluations, converged
 
 
 def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
@@ -269,9 +310,10 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     Riemannian L-BFGS over isometries (see `_minimize`) until an iteration
     lowers its value by less than STOP_DECREASE or MAX_ITERATIONS is
     reached; the minimum over restarts wins, ties broken by lowest restart
-    index. Restart 0, the identity embedding, stays at the L = r optimum
-    (its rows r..L-1 are zero and get zero gradient), so restarts=1 gives
-    the L = r value for any L.
+    index; `evaluations` counts the roof evaluations of sequential halving
+    (see `_line_search`). Restart 0, the identity embedding, stays at the
+    L = r optimum (its rows r..L-1 are zero and get zero gradient), so
+    restarts=1 gives the L = r value for any L.
     """
     m = as_matrix(rho)
     da, db = dims
@@ -292,8 +334,8 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     base_rows = (np.sqrt(lam)[:, None] * E.T).astype(complex)
 
     R = restarts
-    U, vals, iterations, converged = _minimize(_starts(seed, R, L, r),
-                                               base_rows, da, db)
+    U, vals, iterations, evaluations, converged = _minimize(
+        _starts(seed, R, L, r), base_rows, da, db)
     vals = np.maximum(vals, 0.0)
     best_idx = int(vals.argmin())
     rows = U[best_idx] @ base_rows
@@ -305,7 +347,8 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     return LeeResult(float(vals[best_idx]), decomp, R,
                      bool(converged[best_idx]), seed,
                      restart_values=tuple(float(v) for v in vals),
-                     iterations=tuple(int(n) for n in iterations))
+                     iterations=tuple(int(n) for n in iterations),
+                     evaluations=tuple(int(n) for n in evaluations))
 
 
 def table1(seed: int = 7, restarts: int = 64, L: int = 16,

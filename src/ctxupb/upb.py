@@ -598,15 +598,14 @@ def bound_entangled_state(ps: ProductSet, verdict: UpbVerdict | None = None) -> 
     return DensityMatrix(rho, ps.party_dims)
 
 
-def is_ppt(rho: DensityMatrix, party: int = 1,
-           tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the partial transpose has no eigenvalue below -psd_tol."""
+def min_pt_eigenvalue(rho: DensityMatrix, party: int = 1) -> float:
+    """Smallest eigenvalue of the partial transpose on `party`; the state
+    is PPT when it is at least -psd_tol."""
     if len(rho.party_dims) != 2:
         raise DimensionMismatch("PPT check needs bipartite dims",
                                 dims=list(rho.party_dims))
     pt = partial_transpose(rho.matrix, rho.party_dims, party)
-    w, _ = hermitian_eig(pt)
-    return bool(w[0] >= -tol.psd_tol)
+    return float(hermitian_eig(pt)[0][0])
 
 
 def upb_graph_equivalent(a: ProductSet, b: ProductSet,

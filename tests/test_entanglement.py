@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ctxupb.entanglement import (TABLE1_ROWS, Decomposition, _inner, _retract,
-                                 _roof, _starts, _tangent,
+from ctxupb.entanglement import (ARMIJO, MAX_BACKTRACKS, TABLE1_ROWS,
+                                 Decomposition, _inner, _line_search,
+                                 _retract, _roof, _starts, _tangent,
                                  decomposition_value, lee_upper_bound,
                                  linear_entropy, pure_lee_term, table1)
 from ctxupb.errors import BadDecomposition, BadSize, DimensionMismatch
@@ -13,7 +14,7 @@ from ctxupb.linalg import hermitian_eig
 from ctxupb.upb import (assemble_mapped, bound_entangled_state, one_param_upb,
                         verify_upb)
 
-from conftest import random_unit
+from conftest import random_unit, random_unitary
 
 
 def e(d, i):
@@ -174,11 +175,17 @@ class TestLeeUpperBound:
             for R, res in runs.items():
                 assert res.iterations == full.iterations[:R]
                 assert res.restart_values == full.restart_values[:R]
+                assert res.evaluations == full.evaluations[:R]
             assert len(full.iterations) == len(full.restart_values) == 64
+            assert len(full.evaluations) == 64
             assert all(1 <= n <= 500 for n in full.iterations)
+            # the start, then at least one trial step per iteration
+            assert all(n + 1 <= m <= 1 + MAX_BACKTRACKS * n
+                       for n, m in zip(full.iterations, full.evaluations))
             assert full.value == min(full.restart_values)
             assert "restart_values" not in full.to_json()
             assert "iterations" not in full.to_json()
+            assert "evaluations" not in full.to_json()
 
     def test_single_restart_stays_at_rank_optimum(self):
         # restart 0 is the identity embedding: its zero rows get zero
@@ -232,6 +239,74 @@ def block_tangent(U, Z):
     return Z - U @ ((A + A.conj().swapaxes(-1, -2)) / 2)
 
 
+def sequential_search(Ua, fa, d, slope, B, da, db):
+    """Reference Armijo backtracking: one restart and one trial step at a
+    time, halving from step 1."""
+    steps, points, tries = [], [], []
+    for i in range(len(fa)):
+        step, point = 1.0, (Ua[i], fa[i], np.zeros_like(Ua[i]))
+        for n in range(1, MAX_BACKTRACKS + 1):
+            Ut = _retract(Ua[i:i + 1] + step * d[i:i + 1])
+            ft, Gt = _roof(Ut, B, da, db)
+            if ft[0] <= fa[i] + ARMIJO * step * slope[i]:
+                point = (Ut[0], ft[0], Gt[0])
+                break
+            step /= 2
+        steps.append(step)
+        points.append(point)
+        tries.append(n)
+    U, f, G = (np.stack([p[j] for p in points]) for j in range(3))
+    return np.array(steps), U, f, G, np.array(tries)
+
+
+class TestLineSearch:
+    @pytest.fixture
+    def searches(self, rng):
+        """64 restarts at random isometries; each searches along its
+        tangent gradient scaled by 2^-4..2^28, so that a restart needs from
+        0 to about 30 halvings. Every 16th claims a slope of -inf, an Armijo
+        bound no trial step meets."""
+        R, L, r, da, db = 64, 5, 4, 3, 3
+        B = rng.normal(size=(r, da * db)) + 1j * rng.normal(size=(r, da * db))
+        U = _retract(rng.normal(size=(R, L, r))
+                     + 1j * rng.normal(size=(R, L, r)))
+        f, G = _roof(U, B, da, db)
+        g = _tangent(U, G[:, None])[:, 0]
+        d = -(2.0 ** rng.uniform(-4, 28, size=R))[:, None, None] * g
+        slope = _inner(g, d)
+        slope[15::16] = -np.inf
+        return U, f, d, slope, B, da, db
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_matches_sequential_halving(self, searches):
+        U, f, d, slope, B, da, db = searches
+        want = sequential_search(*searches)
+        tries = want[-1]
+        # 0, 3 and more than 16 halvings, and searches that run out
+        ran_out = tries == MAX_BACKTRACKS
+        assert {1, 4} <= set(tries) and max(tries[~ran_out]) > 17
+        assert np.count_nonzero(ran_out) == 4
+        self.assert_same_bytes(_line_search(*searches), want)
+        # a batch of one of each kind, and each of them alone
+        pick = np.array([np.flatnonzero(tries == n)[0]
+                         for n in (1, 4, max(tries[~ran_out]),
+                                   MAX_BACKTRACKS)]
+                        + [np.flatnonzero(tries == 2)[0]])
+        cut = (U[pick], f[pick], d[pick], slope[pick], B, da, db)
+        self.assert_same_bytes(_line_search(*cut),
+                               [a[pick] for a in want])
+        for i in pick:
+            one = (U[i:i + 1], f[i:i + 1], d[i:i + 1], slope[i:i + 1],
+                   B, da, db)
+            self.assert_same_bytes(_line_search(*one),
+                                   [a[i:i + 1] for a in want])
+
+
 class TestStackedProjection:
     @pytest.mark.parametrize("r", [2, 4])
     @pytest.mark.parametrize("L", [5, 16])
@@ -276,6 +351,24 @@ def table1_lee():
     rho = bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
     extra = lee_upper_bound(rho, (3, 3), L=16, restarts=64, seed=7)
     return [row["lee"] for row in rows] + [extra.value]
+
+
+class TestLeeInvariance:
+    # converged values at seed=7, restarts=64, L=16
+    def test_local_unitaries(self, rng):
+        rho = pyramid_bes()
+        W = np.kron(random_unitary(rng, 3), random_unitary(rng, 3))
+        moved = lee_upper_bound(W @ rho @ W.conj().T, (3, 3), L=16,
+                                restarts=64, seed=7)
+        base = lee_upper_bound(rho, (3, 3), L=16, restarts=64, seed=7)
+        assert abs(moved.value - base.value) <= 1e-7
+
+    def test_theta_mirror(self, table1_lee):
+        # the pi/6 row of Table 1 against its mirror angle pi - pi/6
+        ps = one_param_upb(5 * math.pi / 6)
+        rho = bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
+        mirror = lee_upper_bound(rho, (3, 3), L=16, restarts=64, seed=7)
+        assert abs(mirror.value - table1_lee[3]) <= 1e-7
 
 
 class TestTable1Optima:

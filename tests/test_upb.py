@@ -14,9 +14,10 @@ from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
 from ctxupb.upb import (ProductSet, _validated_witness, assemble_mapped,
                         bound_entangled_state, gencontextual_upb, is_minimal,
-                        is_ppt, max_nonspanning, nonspanning_flats,
-                        one_param_upb, party_graphs, product_set, quadres_upb,
-                        upb_graph_equivalent, verify_upb)
+                        max_nonspanning, min_pt_eigenvalue,
+                        nonspanning_flats, one_param_upb, party_graphs,
+                        product_set, quadres_upb, upb_graph_equivalent,
+                        verify_upb)
 
 from conftest import (genpyramid_25_upb, genpyramid_25_witness, qubit_basis,
                       random_unitary, unit_basis as e, witness_overlap)
@@ -744,7 +745,7 @@ class TestBoundEntangledState:
         assert w[0] >= -1e-12
         pt = partial_transpose(rho.matrix, (3, 3), 1)
         assert hermitian_eig(pt)[0][0] >= -1e-9
-        assert is_ppt(rho)
+        assert min_pt_eigenvalue(rho) == hermitian_eig(pt)[0][0]
 
     def test_entangled_despite_ppt(self):
         # the complement of a UPB contains no product state, so the bes is
@@ -767,13 +768,21 @@ class TestIsPpt:
         rho = np.outer(psi, psi.conj())
         from ctxupb.upb import DensityMatrix
         dm = DensityMatrix(rho, (2, 2))
-        assert not is_ppt(dm)
+        assert min_pt_eigenvalue(dm) == pytest.approx(-0.5, abs=1e-12)
+        assert min_pt_eigenvalue(dm) < -DEFAULT_TOL.psd_tol
 
     def test_product_density_passes(self, rng):
         from conftest import random_density
         from ctxupb.upb import DensityMatrix
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert is_ppt(DensityMatrix(rho, (2, 3)))
+        dm = DensityMatrix(rho, (2, 3))
+        for party in (0, 1):
+            assert min_pt_eigenvalue(dm, party) >= -DEFAULT_TOL.psd_tol
+
+    def test_multipartite_rejected(self):
+        from ctxupb.upb import DensityMatrix
+        with pytest.raises(DimensionMismatch):
+            min_pt_eigenvalue(DensityMatrix(np.eye(8) / 8, (2, 2, 2)))
 
 
 class TestGraphEquivalence:
