@@ -286,7 +286,8 @@ def cmd_equiv(a):
 def cmd_table1(a):
     _require_search_args(a)
     return entanglement.table1(seed=a.seed, restarts=a.restarts,
-                               L=16 if a.L is None else a.L)
+                               L=16 if a.L is None else a.L,
+                               tol=_tolerances(a))
 
 
 def cmd_table2(a):

@@ -1,7 +1,7 @@
 """Minimal arithmetic grammar for angle arguments: numbers, pi, + - * /,
 parentheses and the functions sqrt(...) and acos(...), parsed by recursive
 descent. No eval, no names other than pi, sqrt and acos; an argument outside
-a function's domain raises ExprError."""
+a function's domain, or a value that is not finite, raises ExprError."""
 
 from __future__ import annotations
 
@@ -16,11 +16,15 @@ _FUNCTIONS = {"sqrt": math.sqrt, "acos": math.acos}
 
 
 def parse_angle(text: str) -> float:
+    """The finite value of text; text outside the grammar, or whose value
+    overflows to inf or NaN, raises ExprError."""
     p = _Parser(text)
     val = p.expr()
     p.skip_ws()
     if p.pos != len(p.text):
         raise ExprError(f"trailing input at {p.pos}: {text[p.pos:]!r}")
+    if not math.isfinite(val):
+        raise ExprError(f"{text!r} is not a finite angle")
     return val
 
 

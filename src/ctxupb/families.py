@@ -5,6 +5,10 @@ Families are tuples of unit vectors in a fixed ambient dimension, together
 with the parameters that produced them. Constructors evaluate the defining
 formulas verbatim; none of them silently renormalizes except quadres_local,
 whose defining expression is deliberately unnormalized.
+
+A vector is a unit vector when | |v| - 1 | <= UNIT_TOL, a test NaN and inf
+fail; upb.ProductSet tests its factors the same way. orthogonality_graph is
+the one orthogonality test; upb.party_graphs builds its graphs with it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .errors import BadOrder, BadPrime, BadT, DegenerateParameter, DimensionMism
 from .graphs import Graph, graph, is_prime, quadratic_residues
 from .linalg import DEFAULT_TOL, Tolerances, as_vector
 
-UNIT_TOL = 1e-9
+UNIT_TOL = 1e-9   # largest | |v| - 1 | of a unit vector
 
 
 def theta_cycle_value(n: int) -> float:
@@ -46,23 +50,15 @@ class VectorFamily:
             if v.shape != (self.dim,):
                 raise DimensionMismatch("family vector has wrong dimension",
                                         index=k, dim=self.dim)
-            dev = abs(np.linalg.norm(v) - 1.0)
-            if dev > UNIT_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:   # NaN fails
                 raise DegenerateParameter("family vector is not unit norm",
-                                          index=k, deviation=float(dev))
+                                          index=k)
 
     def __len__(self) -> int:
         return len(self.vectors)
 
     def __iter__(self):
         return iter(self.vectors)
-
-    def gram(self) -> np.ndarray:
-        m = np.array(self.vectors)
-        return m.conj() @ m.T
-
-    def gram_moduli(self) -> np.ndarray:
-        return np.abs(self.gram())
 
     def to_json(self) -> dict:
         return {
@@ -229,16 +225,15 @@ def quadres_local(p: int) -> VectorFamily:
 
 
 def orthogonality_graph(vectors, tol: Tolerances = DEFAULT_TOL) -> Graph:
-    """Graph with an edge wherever |<v_i|v_j>| <= orth_tol."""
+    """Graph with an edge wherever |<v_i|v_j>| <= orth_tol, read from the
+    strict upper triangle of one Gram product; no vectors give the graph on
+    0 vertices. A NaN overlap is no edge."""
     vecs = [as_vector(v) for v in vectors]
     if vecs and any(v.shape != vecs[0].shape for v in vecs):
         raise DimensionMismatch("vectors differ in dimension")
-    n = len(vecs)
-    m = np.array(vecs) if n else np.zeros((0, 0))
-    g = np.abs(m.conj() @ m.T) if n else np.zeros((0, 0))
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if g[i, j] <= tol.orth_tol]
-    return graph(n, edges)
+    m = np.array(vecs) if vecs else np.zeros((0, 0), dtype=complex)
+    i, j = np.nonzero(np.triu(np.abs(m.conj() @ m.T) <= tol.orth_tol, 1))
+    return graph(len(vecs), zip(i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 minimality, bound entangled states, and graph equivalence of product bases.
 
 Verification follows the two graph-theoretic conditions for unextendibility:
-(1) the per-party orthogonality graphs must cover the complete graph, and
+(1) the per-party orthogonality graphs (party_graphs) must cover the
+complete graph, and
 (2) the states must not split into parts S_1, ..., S_n such that the
 party-m factors of S_m fail to span party m's space for every m (such a
 split exists exactly when some product state is orthogonal to all the
@@ -28,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadPrime, DimensionMismatch, EmptyFamily, Inconclusive,
+from .errors import (DimensionMismatch, EmptyFamily, Inconclusive,
                      NotOrthogonalSet, NotUpb, SizeMismatch)
-from .families import (VectorFamily, gen_kcbs, loor_cycle_complement,
-                       one_param_family, quadres_local)
-from .graphs import (EdgeColoredGraph, colored_equivalence,
-                     edge_colored_graph, graph, is_prime, smallest_nonresidue)
+from .families import (UNIT_TOL, VectorFamily, gen_kcbs,
+                       loor_cycle_complement, one_param_family,
+                       orthogonality_graph, quadres_local)
+from .graphs import (EdgeColoredGraph, colored_equivalence, complement,
+                     edge_colored_graph, graph, smallest_nonresidue)
 from .linalg import (DEFAULT_TOL, Tolerances, as_vector, hermitian_eig,
                      kron_all, partial_transpose)
 
@@ -68,7 +70,7 @@ class ProductSet:
                 if f.shape != (d,):
                     raise DimensionMismatch("local factor has wrong dimension",
                                             state=si, party=m, dim=d)
-                if not abs(np.linalg.norm(f) - 1.0) <= 1e-9:   # NaN fails
+                if not abs(np.linalg.norm(f) - 1.0) <= UNIT_TOL:   # NaN fails
                     raise DimensionMismatch("local factor not unit norm",
                                             state=si, party=m)
 
@@ -211,9 +213,7 @@ def gencontextual_upb(n: int) -> ProductSet:
 def quadres_upb(p: int) -> ProductSet:
     """QuadRes product set: state i pairs Q(i) with Q(i*x) for the smallest
     non-residue x."""
-    fam = quadres_local(p)
-    if not is_prime(p) or p % 4 != 1:
-        raise BadPrime("need a prime p = 1 mod 4", p=p)
+    fam = quadres_local(p)   # raises BadPrime unless p is a prime = 1 mod 4
     x = smallest_nonresidue(p)
     d = (p + 1) // 2
     states = tuple((fam.vectors[i], fam.vectors[(i * x) % p]) for i in range(p))
@@ -221,34 +221,28 @@ def quadres_upb(p: int) -> ProductSet:
 
 
 def party_graphs(ps: ProductSet, tol: Tolerances = DEFAULT_TOL):
-    """Per-party orthogonality graphs plus the edge-colored union."""
-    k = ps.k
-    graphs = []
+    """Per-party orthogonality graphs (families.orthogonality_graph of each
+    party's factors) plus the edge-colored union: each edge colored by the
+    parties whose graphs hold it."""
+    graphs = [orthogonality_graph([st[m] for st in ps.states], tol)
+              for m in range(ps.n_parties)]
     color: dict = {}
-    for m in range(ps.n_parties):
-        vecs = np.array([ps.factor(j, m) for j in range(k)])
-        g = np.abs(vecs.conj() @ vecs.T)
-        edges = []
-        for i in range(k):
-            for j in range(i + 1, k):
-                if g[i, j] <= tol.orth_tol:
-                    edges.append((i, j))
-                    color.setdefault((i, j), set()).add(m)
-        graphs.append(graph(k, edges))
-    colored = edge_colored_graph(k, color)
-    return graphs, colored
+    for m, g in enumerate(graphs):
+        for e in g.edges:
+            color.setdefault(e, set()).add(m)
+    return graphs, edge_colored_graph(ps.k, color)
 
 
 def _check_condition1(ps: ProductSet, tol: Tolerances):
     """Every pair must be orthogonal in at least one party; returns the
-    colored graph, raising with the first offending pair otherwise."""
+    colored graph, raising with the lexicographically first pair it does not
+    cover otherwise."""
     _, colored = party_graphs(ps, tol)
-    for i in range(ps.k):
-        for j in range(i + 1, ps.k):
-            if colored.colorset(i, j) is None:
-                raise NotOrthogonalSet(
-                    "pair orthogonal in no party (condition 1 fails)",
-                    condition=1, pair=[i, j])
+    uncovered = complement(graph(ps.k, colored.color)).edges
+    if uncovered:
+        raise NotOrthogonalSet(
+            "pair orthogonal in no party (condition 1 fails)",
+            condition=1, pair=list(min(uncovered)))
     return colored
 
 
@@ -412,12 +406,6 @@ def nonspanning_flats(vectors, dim: int,
     scan(np.array([as_vector(v) for v in vectors])[None],
          np.arange(k, dtype=id_type)[None], np.array([-1]), 0)
     return np.concatenate(leaves) if leaves else np.ones((1, k), dtype=bool)
-
-
-def max_nonspanning(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Largest number of the given vectors lying inside a common proper
-    subspace: the size of their largest hyperplane flat."""
-    return int(nonspanning_flats(vectors, dim, tol).sum(axis=1).max())
 
 
 def _general_position(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):

@@ -8,6 +8,7 @@ import pytest
 
 from ctxupb import cli, jsonio, upb
 from ctxupb.families import one_param_family
+from ctxupb.linalg import Tolerances
 
 from conftest import qubit_basis
 
@@ -519,6 +520,7 @@ def _sweep_cases():
     """Each integer parameter of each named target, and alpha/theta graph
     orders, set to -3, 0, 1 and 2 (other parameters at their smallest
     valid values); the one all-valid genpyramid call is left out. Then
+    each one-param command with an angle that overflows to inf or NaN, and
     every command with --tol inf."""
     valid = {"m": 2, "t": 2}
     for name, (params, *builders) in cli.TARGETS.items():
@@ -534,22 +536,35 @@ def _sweep_cases():
         for family, flag in (("cycle", "--n"), ("paley", "--q")):
             for v in (-3, 0, 1, 2):
                 yield [command, family, flag, str(v)]
+    big = "9" * 400
+    for theta in (big, f"{big}-{big}"):
+        for command in ("family", "verify-upb", "strength", "lee"):
+            yield [command, "one-param", "--theta", theta]
     for call in INF_TOL_CALLS:
         yield [*call, "--tol", "inf"]
 
 
-@pytest.mark.parametrize("argv", list(_sweep_cases()), ids="_".join)
-def test_small_parameters_never_raise(capsys, argv):
+def _exit_code(capsys, argv):
+    """The exit code of argv, asserted to be 0 with a valid envelope, 1 with
+    a valid error object or 2 with a usage message."""
     try:
         code = cli.run(argv)
     except SystemExit as e:
         code = e.code
     captured = capsys.readouterr()
-    assert code in (1, 2)
-    if code == 1:
+    assert code in (0, 1, 2)
+    if code == 0:
+        jsonschema.validate(json.loads(captured.out), load_schema("envelope"))
+    elif code == 1:
         jsonschema.validate(json.loads(captured.out), load_schema("error"))
     else:
         assert captured.err.startswith(("usage error:", "usage: ctxupb"))
+    return code
+
+
+@pytest.mark.parametrize("argv", list(_sweep_cases()), ids="_".join)
+def test_small_parameters_never_raise(capsys, argv):
+    assert _exit_code(capsys, argv) in (1, 2)
 
 
 def _factor(*xs):
@@ -583,18 +598,7 @@ def _edge_argv(tmp_path, name, command):
 @pytest.mark.parametrize("command", EDGE_COMMANDS)
 @pytest.mark.parametrize("name", EDGE_SETS)
 def test_edge_product_sets_never_raise(capsys, tmp_path, name, command):
-    try:
-        code = cli.run(_edge_argv(tmp_path, name, command))
-    except SystemExit as e:
-        code = e.code
-    captured = capsys.readouterr()
-    assert code in (0, 1, 2)
-    if code == 0:
-        jsonschema.validate(json.loads(captured.out), load_schema("envelope"))
-    elif code == 1:
-        jsonschema.validate(json.loads(captured.out), load_schema("error"))
-    else:
-        assert captured.err.startswith(("usage error:", "usage: ctxupb"))
+    _exit_code(capsys, _edge_argv(tmp_path, name, command))
 
 
 @pytest.mark.parametrize("name,commands,error,detail", [
@@ -611,6 +615,61 @@ def test_edge_product_set_errors(capsys, tmp_path, name, commands, error,
         doc = json.loads(out)
         assert (code, doc["error"], doc["details"]) == (1, error, detail), \
             command
+
+
+def _family(label, *vectors):
+    return {"label": label, "params": {}, "dim": 2,
+            "vectors": [_factor(*v) for v in vectors]}
+
+
+EDGE_FAMILIES = {   # --in families at the edges of the input domain
+    "nan-entry": _family("nan", (math.nan, 0.0), (0.0, 1.0)),
+    "overflow": _family("big", (1e308, 1e308), (0.0, 1.0)),
+    "no-vectors": _family("empty"),
+}
+
+
+def _family_argv(tmp_path, name, command):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(EDGE_FAMILIES[name]))
+    return [command, "--in", str(path)]
+
+
+@pytest.mark.parametrize("command", ["family", "graph", "strength"])
+@pytest.mark.parametrize("name", EDGE_FAMILIES)
+def test_edge_families_never_raise(capsys, tmp_path, name, command):
+    _exit_code(capsys, _family_argv(tmp_path, name, command))
+
+
+@pytest.mark.parametrize("name", ["nan-entry", "overflow"])
+def test_non_finite_family_vector_errors(capsys, tmp_path, name):
+    for command in ("family", "graph", "strength"):
+        code, out = run_cli(_family_argv(tmp_path, name, command), capsys)
+        doc = json.loads(out)
+        assert (code, doc["error"], doc["details"]) == (
+            1, "DegenerateParameter", {"index": 0}), command
+
+
+def test_graph_of_empty_family(capsys, tmp_path):
+    doc = run_json(_family_argv(tmp_path, "no-vectors", "graph"), capsys,
+                   schema="graph")
+    assert doc["result"] == {"n": 0, "edges": []}
+
+
+def test_table1_passes_tol(capsys, monkeypatch):
+    seen = []
+
+    def spy(ps, tol, *args, **kwargs):
+        seen.append(tol)
+        return real(ps, tol, *args, **kwargs)
+
+    real = upb.verify_upb
+    monkeypatch.setattr(upb, "verify_upb", spy)
+    doc = run_json(["table1", "--restarts", "1", "--L", "4", "--tol", "1e-6"],
+                   capsys, schema="table1")
+    assert doc["config"]["tol"] == 1e-6
+    assert len(seen) == 5
+    assert all(t == Tolerances(1e-6, 1e-6, 1e-6) for t in seen)
 
 
 class Parsed(Exception):

@@ -17,8 +17,12 @@ def test_values(text, value):
     assert parse_angle(text) == value
 
 
+BIG = "9" * 400   # parses to inf
+
+
 @pytest.mark.parametrize("text", ["sqrt(-1)", "acos(2)", "sqrt 2", "cos(1)",
-                                  "acos(1"])
+                                  "acos(1", BIG, f"{BIG}-{BIG}",
+                                  f"sqrt({BIG})"])
 def test_rejected(text):
     with pytest.raises(ExprError):
         parse_angle(text)

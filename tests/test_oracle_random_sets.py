@@ -14,8 +14,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ctxupb.linalg import kron_all
-from ctxupb.upb import ProductSet, verify_upb
+from ctxupb.linalg import DEFAULT_TOL, kron_all
+from ctxupb.upb import ProductSet, party_graphs, verify_upb
 
 N_SETS = 200
 
@@ -189,6 +189,22 @@ def test_generator_produces_orthogonal_sets():
         for i in range(ps.k):
             for j in range(i + 1, ps.k):
                 assert colored.colorset(i, j) is not None
+
+
+def test_party_graphs_match_pairwise_overlaps():
+    # each party's edges against one overlap per pair, the colors against
+    # the union of the parties' edges
+    for ps in CASES + MULTIPARTITE_CASES:
+        graphs, colored = party_graphs(ps)
+        want = {}
+        for m, g in enumerate(graphs):
+            edges = {(i, j) for i, j in itertools.combinations(range(ps.k), 2)
+                     if abs(np.vdot(ps.factor(i, m), ps.factor(j, m)))
+                     <= DEFAULT_TOL.orth_tol}
+            assert g.n == ps.k and g.edges == edges
+            for e in edges:
+                want.setdefault(e, set()).add(m)
+        assert colored.color == want
 
 
 @pytest.mark.parametrize("idx", range(N_SETS))

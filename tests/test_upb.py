@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ctxupb import cli, jsonio, upb
-from ctxupb.errors import (DimensionMismatch, EmptyFamily, Inconclusive,
-                           NotOrthogonalSet, NotUpb, SizeMismatch)
+from ctxupb.errors import (BadPrime, DimensionMismatch, EmptyFamily,
+                           Inconclusive, NotOrthogonalSet, NotUpb,
+                           SizeMismatch)
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
                              quadres_local)
 from ctxupb.graphs import complement, complete, cycle, is_cycle
@@ -14,10 +15,9 @@ from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
                            partial_transpose)
 from ctxupb.upb import (ProductSet, _validated_witness, assemble_mapped,
                         bound_entangled_state, gencontextual_upb, is_minimal,
-                        max_nonspanning, min_pt_eigenvalue,
-                        nonspanning_flats, one_param_upb, party_graphs,
-                        product_set, quadres_upb, upb_graph_equivalent,
-                        verify_upb)
+                        min_pt_eigenvalue, nonspanning_flats, one_param_upb,
+                        party_graphs, product_set, quadres_upb,
+                        upb_graph_equivalent, verify_upb)
 
 from conftest import (genpyramid_25_upb, genpyramid_25_witness, qubit_basis,
                       random_unitary, unit_basis as e, witness_overlap)
@@ -99,6 +99,12 @@ class TestAssembly:
         fam = quadres_local(5)
         for i in range(5):
             assert np.allclose(ps.factor(i, 1), fam.vectors[(2 * i) % 5])
+
+    @pytest.mark.parametrize("p", [7, 9])
+    def test_quadres_upb_rejects_bad_prime(self, p):
+        with pytest.raises(BadPrime) as exc:
+            quadres_upb(p)
+        assert exc.value.details == {"p": p}
 
 
 class TestPartyGraphs:
@@ -286,8 +292,15 @@ class TestBoundVerifier:
         assert max_nonspanning([v, v, u, w], 3) >= 2
 
 
+def max_nonspanning(vectors, dim, tol=DEFAULT_TOL):
+    """Largest number of the vectors inside a common proper subspace: the
+    size of their largest hyperplane flat, as verify_upb's certificate
+    reads it from the walk."""
+    return int(nonspanning_flats(vectors, dim, tol).sum(axis=1).max())
+
+
 def reference_max_nonspanning(vectors, dim, tol=DEFAULT_TOL):
-    """One Gram-Schmidt loop per (dim-1)-subset: the scan max_nonspanning
+    """One Gram-Schmidt loop per (dim-1)-subset: the scan nonspanning_flats
     batches, kept as its oracle."""
     k = len(vectors)
     vecs = np.array([np.asarray(v, dtype=complex) for v in vectors])
