@@ -1,7 +1,7 @@
 """Contextual vector families, unextendible product bases, and bound
 entanglement toolkit."""
 
-from .linalg import (Tolerances, DEFAULT_TOL, kron, hermitian_eig, rank_of,
+from .linalg import (Tolerances, DEFAULT_TOL, kron, hermitian_eig,
                      partial_trace, partial_transpose)
 from .graphs import (Graph, EdgeColoredGraph, GaloisField, graph, cycle,
                      complement, is_cycle, independence_number,

@@ -122,7 +122,7 @@ def _read_input(path: str, from_json):
         raise UsageError(f"{path} is not valid JSON: {e}") from None
     try:
         return from_json(doc)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise UsageError(f"{path} does not hold the expected object: "
                          f"{e!r}") from None
 

@@ -14,12 +14,9 @@ stacked projections, one for the step history and the new step, one for the
 gradient-change history and the old and new gradients; a projection of K
 blocks multiplies by U^H and by U once, the blocks side by side, rather than
 once per block.
-Restart 0 starts from the identity embedding (the bare eigendecomposition),
-the rest from seeded random isometries; restart r draws from the
-counter-derived stream (seed, r), so any execution order enumerates
+Every restart starts from a seeded random isometry; restart r draws from
+the counter-derived stream (seed, r), so any execution order enumerates
 identical starting points, and the draws are retracted in one batched QR.
-A zero row of U has zero gradient, so restart 0 never leaves the L = r
-optimum: with restarts=1 the result is the L = r value whatever L is.
 The reported value is an upper bound on the true convex roof.
 """
 
@@ -154,17 +151,14 @@ def _retract(Y):
 
 
 def _starts(seed: int, R: int, L: int, r: int):
-    """Starting isometries (R, L, r): restart 0 is the identity embedding,
-    restart i > 0 the retraction of a complex Gaussian L x r matrix drawn
-    from the counter-derived stream (seed, i). The draws are retracted
-    together, in one batched QR."""
-    U = np.zeros((R, L, r), dtype=complex)
-    U[0, :r, :r] = np.eye(r)
-    for i in range(1, R):
+    """Starting isometries (R, L, r): restart i is the retraction of a
+    complex Gaussian L x r matrix drawn from the counter-derived stream
+    (seed, i). The draws are retracted together, in one batched QR."""
+    U = np.empty((R, L, r), dtype=complex)
+    for i in range(R):
         rng = np.random.default_rng([seed, i])
         U[i] = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
-    U[1:] = _retract(U[1:])
-    return U
+    return _retract(U)
 
 
 def _roof(U, B, da: int, db: int):
@@ -311,9 +305,7 @@ def lee_upper_bound(rho, dims: tuple[int, int], L: int | None = None,
     lowers its value by less than STOP_DECREASE or MAX_ITERATIONS is
     reached; the minimum over restarts wins, ties broken by lowest restart
     index; `evaluations` counts the roof evaluations of sequential halving
-    (see `_line_search`). Restart 0, the identity embedding, stays at the
-    L = r optimum (its rows r..L-1 are zero and get zero gradient), so
-    restarts=1 gives the L = r value for any L.
+    (see `_line_search`).
     """
     m = as_matrix(rho)
     da, db = dims

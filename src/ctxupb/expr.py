@@ -1,7 +1,8 @@
 """Minimal arithmetic grammar for angle arguments: numbers, pi, + - * /,
 parentheses and the functions sqrt(...) and acos(...), parsed by recursive
-descent. No eval, no names other than pi, sqrt and acos; an argument outside
-a function's domain, or a value that is not finite, raises ExprError."""
+descent. No eval, no names other than pi, sqrt and acos; a malformed number,
+nesting deeper than the recursion limit, an argument outside a function's
+domain, or a value that is not finite, raises ExprError."""
 
 from __future__ import annotations
 
@@ -19,7 +20,10 @@ def parse_angle(text: str) -> float:
     """The finite value of text; text outside the grammar, or whose value
     overflows to inf or NaN, raises ExprError."""
     p = _Parser(text)
-    val = p.expr()
+    try:
+        val = p.expr()
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
     p.skip_ws()
     if p.pos != len(p.text):
         raise ExprError(f"trailing input at {p.pos}: {text[p.pos:]!r}")
@@ -101,8 +105,12 @@ class _Parser:
         if self.pos == start:
             raise ExprError(f"expected number, pi, sqrt, acos or '(' "
                             f"at {start}")
+        try:
+            val = float(self.text[start:self.pos])
+        except ValueError:
+            raise ExprError(f"bad number at {start}: "
+                            f"{self.text[start:self.pos]!r}") from None
         # implicit multiplication like 3pi
-        val = float(self.text[start:self.pos])
         if self.text.startswith("pi", self.pos):
             self.pos += 2
             val *= math.pi

@@ -6,9 +6,10 @@ with the parameters that produced them. Constructors evaluate the defining
 formulas verbatim; none of them silently renormalizes except quadres_local,
 whose defining expression is deliberately unnormalized.
 
-A vector is a unit vector when | |v| - 1 | <= UNIT_TOL, a test NaN and inf
-fail; upb.ProductSet tests its factors the same way. orthogonality_graph is
-the one orthogonality test; upb.party_graphs builds its graphs with it.
+A vector is a unit vector when is_unit holds, | |v| - 1 | <= UNIT_TOL, a
+test NaN and inf fail; upb.ProductSet tests its factors with it too.
+orthogonality_graph is the one orthogonality test; upb.party_graphs builds
+its graphs with it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from .graphs import Graph, graph, is_prime, quadratic_residues
 from .linalg import DEFAULT_TOL, Tolerances, as_vector
 
 UNIT_TOL = 1e-9   # largest | |v| - 1 | of a unit vector
+
+
+def is_unit(v) -> bool:
+    """| |v| - 1 | <= UNIT_TOL; NaN and inf fail, and so do entries whose
+    squares overflow, with no warning."""
+    with np.errstate(over="ignore"):
+        return bool(abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL)
 
 
 def theta_cycle_value(n: int) -> float:
@@ -50,7 +58,7 @@ class VectorFamily:
             if v.shape != (self.dim,):
                 raise DimensionMismatch("family vector has wrong dimension",
                                         index=k, dim=self.dim)
-            if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:   # NaN fails
+            if not is_unit(v):
                 raise DegenerateParameter("family vector is not unit norm",
                                           index=k)
 

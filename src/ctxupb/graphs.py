@@ -253,21 +253,6 @@ class GaloisField:
         a2, b2 = v % p, v // p
         return (a1 * a2 + self.s * b1 * b2) % p + ((a1 * b2 + a2 * b1) % p) * p
 
-    def pow(self, u: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            k >>= 1
-        return r
-
-    def is_square(self, u: int) -> bool:
-        # Euler criterion: nonzero u is a square iff u^((q-1)/2) = 1
-        if u == 0:
-            return False
-        return self.pow(u, (self.order - 1) // 2) == 1
-
 
 def galois_field(q: int) -> GaloisField:
     if is_prime(q) and q % 2 == 1:
@@ -284,7 +269,7 @@ def paley(q: int) -> Graph:
     if q % 4 != 1:
         raise BadOrder("Paley graph needs q = 1 mod 4", q=q)
     gf = galois_field(q)
-    squares = {e for e in range(1, q) if gf.is_square(e)}
+    squares = {gf.mul(x, x) for x in range(1, q)}
     edges = [(i, j) for i in range(q) for j in range(i + 1, q)
              if gf.sub(j, i) in squares]
     return graph(q, edges)

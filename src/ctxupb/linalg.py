@@ -1,5 +1,5 @@
 """Dense complex linear-algebra kernels: Kronecker products, Hermitian
-eigendecompositions, numerical rank, partial trace and partial transpose.
+eigendecompositions, partial trace and partial transpose.
 
 All functions are pure; vectors and matrices are numpy complex arrays.
 Parties in bipartite operations are numbered 0 (A) and 1 (B).
@@ -54,9 +54,14 @@ def kron(a, b) -> np.ndarray:
 
 
 def kron_all(factors) -> np.ndarray:
+    """Kronecker product along the last axis, one broadcast multiply per
+    factor: a vector for 1-D factors, row-by-row products for (k, d_m)
+    matrices; each entry is np.kron's, signed zeros included."""
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
-        out = np.kron(out, f)
+        f = np.asarray(f, dtype=complex)
+        out = (out[..., :, None] * f[..., None, :]).reshape(
+            *out.shape[:-1], out.shape[-1] * f.shape[-1])
     return out
 
 
@@ -74,25 +79,6 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
         raise NonHermitian("matrix is not Hermitian", deviation=dev)
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def rank_of(vectors, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Numerical rank of a vector list via singular values.
-
-    The cutoff is relative: sigma > rank_tol * sigma_max.
-    """
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        return 0
-    dim = vecs[0].shape[0]
-    for v in vecs:
-        if v.shape[0] != dim:
-            raise DimensionMismatch("vectors differ in dimension",
-                                    dims=sorted({x.shape[0] for x in vecs}))
-    s = np.linalg.svd(np.array(vecs), compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
 
 
 def _check_bipartite(rho: np.ndarray, dims: tuple[int, int]) -> None:

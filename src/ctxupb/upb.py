@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, EmptyFamily, Inconclusive,
                      NotOrthogonalSet, NotUpb, SizeMismatch)
-from .families import (UNIT_TOL, VectorFamily, gen_kcbs,
+from .families import (VectorFamily, gen_kcbs, is_unit,
                        loor_cycle_complement, one_param_family,
                        orthogonality_graph, quadres_local)
 from .graphs import (EdgeColoredGraph, colored_equivalence, complement,
@@ -70,7 +70,7 @@ class ProductSet:
                 if f.shape != (d,):
                     raise DimensionMismatch("local factor has wrong dimension",
                                             state=si, party=m, dim=d)
-                if not abs(np.linalg.norm(f) - 1.0) <= UNIT_TOL:   # NaN fails
+                if not is_unit(f):
                     raise DimensionMismatch("local factor not unit norm",
                                             state=si, party=m)
 
@@ -96,12 +96,8 @@ class ProductSet:
 
     @functools.cached_property
     def _full_vectors(self) -> np.ndarray:
-        # one broadcast multiply per party, from party 0's factors: every
-        # entry is kron_all's product, in its order, signed zeros included
-        out = np.array([st[0] for st in self.states], dtype=complex)
-        for m in range(1, self.n_parties):
-            f = np.array([st[m] for st in self.states], dtype=complex)
-            out = (out[:, :, None] * f[:, None, :]).reshape(self.k, -1)
+        out = kron_all([np.array([st[m] for st in self.states])
+                        for m in range(self.n_parties)])
         out.flags.writeable = False
         return out
 
@@ -313,12 +309,12 @@ def _norms(z):
 def nonspanning_flats(vectors, dim: int,
                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Boolean masks, shape (flats, k), of the hyperplane flats of the given
-    vectors: for every r = min(dim-1, k) linearly independent members (up to
+    vectors: for every r = dim - 1 linearly independent members (up to
     rank_tol), the members lying in their span. Every subset that does not
     span C^dim lies in one of them, since its independent members extend to
-    r independent members of the set. If no r members are independent, all
-    k vectors lie in a proper subspace and the one flat holds them all; if
-    dim is 1, the one flat is empty.
+    r independent members of the set. Fewer than dim members never span
+    C^dim, so when k < dim the one flat holds them all, as it does when no
+    r members are independent; if dim is 1, the one flat is empty.
 
     The walk visits the prefix tree of r-subsets i_1 < ... < i_r of
     independent members. A node at depth t holds the residuals of the k - t
@@ -330,12 +326,11 @@ def nonspanning_flats(vectors, dim: int,
     dropped together with column j, so residuals at depth t have dim - t
     coordinates. A member at or below rank_tol adds no direction, and its
     subtree is skipped: its spans lie inside spans of independent members.
-    A leaf's flat holds its prefix and the members whose residuals have
-    norm at most rank_tol. When r = dim - 1 the last level has two
-    coordinates and builds no residuals: x lies in the span of the added
-    member's residual w iff |w0 x1 - w1 x0| <= rank_tol |w|. Leaves come in
-    lexicographic order of their subsets, and several leaves may give the
-    same flat.
+    The last level has two coordinates and builds no residuals: a leaf's
+    flat holds its prefix and each member x with |w0 x1 - w1 x0| <= rank_tol
+    |w|, w the added member's residual, that is with a residual of norm at
+    most rank_tol against the leaf's span. Leaves come in lexicographic
+    order of their subsets, and several leaves may give the same flat.
 
     The tree is walked depth first in runs of each level's nodes, one numpy
     batch per run: a run at depth t has as many nodes as fit their at most
@@ -350,9 +345,9 @@ def nonspanning_flats(vectors, dim: int,
     where they alone exceed SCAN_BUDGET.
     """
     k = len(vectors)
-    r = min(dim - 1, k)
-    if r <= 0:
-        return np.zeros((1, k), dtype=bool)
+    if k < dim or dim == 1:
+        return np.full((1, k), dim > 1)
+    r = dim - 1
     id_type = np.min_scalar_type(k - 1)
     id_size = id_type.itemsize / 16
     leaves = []
@@ -380,23 +375,18 @@ def nonspanning_flats(vectors, dim: int,
                 return None
             parent, cols, w, norms = (parent[grow], cols[grow], w[grow],
                                       norms[grow])
-        if coords == 2:    # depth r - 1 with r = dim - 1
+        if coords == 2:    # depth r - 1
             leaf(np.take(ids, parent, axis=0),
                  _plane_leaves(level, parent, w, norms, tol.rank_tol))
             return None
         level, ids = _child_residuals(level, ids, parent, cols, w, norms)
-        if depth + 1 == r:
-            leaf(ids, _norms(level) <= tol.rank_tol)
-            return None
         return level, ids, cols + depth
 
     def scan(level, ids, lasts, depth):
         # level: residuals (nodes, k-depth, dim-depth) of nodes at `depth`
         # whose prefixes end with `lasts`, ids: their members (nodes,
-        # k-depth); each run of `step` nodes has its subtrees walked in turn.
-        # Leaves have node_size(r) = 0 when k = r.
-        children_size = max(1, (k - r + 1) * node_size(depth + 1))
-        step = max(1, int(SCAN_BUDGET // children_size))
+        # k-depth); each run of `step` nodes has its subtrees walked in turn
+        step = max(1, int(SCAN_BUDGET // ((k - r + 1) * node_size(depth + 1))))
         for s in range(0, len(lasts), step):
             run = slice(s, s + step)
             children = expand(level[run], ids[run], lasts[run], depth)

@@ -516,6 +516,16 @@ INF_TOL_CALLS = (   # a valid call of each command, run with --tol inf
 assert {call[0] for call in INF_TOL_CALLS} == set(cli.COMMANDS)
 
 
+BAD_NUMBERS = ("1..2", ".", "1.2.3")
+DEEP_ANGLES = ("(" * 2000 + "1" + ")" * 2000, "sqrt(" * 600 + "1" + ")" * 600)
+
+
+def _argv_id(argv):
+    """argv joined by "_", a token past 1,000 characters as its head and
+    length."""
+    return "_".join(t if len(t) <= 1000 else f"{t[:5]}x{len(t)}" for t in argv)
+
+
 def _sweep_cases():
     """Each integer parameter of each named target, and alpha/theta graph
     orders, set to -3, 0, 1 and 2 (other parameters at their smallest
@@ -537,7 +547,7 @@ def _sweep_cases():
             for v in (-3, 0, 1, 2):
                 yield [command, family, flag, str(v)]
     big = "9" * 400
-    for theta in (big, f"{big}-{big}"):
+    for theta in (big, f"{big}-{big}", *BAD_NUMBERS, *DEEP_ANGLES):
         for command in ("family", "verify-upb", "strength", "lee"):
             yield [command, "one-param", "--theta", theta]
     for call in INF_TOL_CALLS:
@@ -562,7 +572,7 @@ def _exit_code(capsys, argv):
     return code
 
 
-@pytest.mark.parametrize("argv", list(_sweep_cases()), ids="_".join)
+@pytest.mark.parametrize("argv", list(_sweep_cases()), ids=_argv_id)
 def test_small_parameters_never_raise(capsys, argv):
     assert _exit_code(capsys, argv) in (1, 2)
 
@@ -572,6 +582,7 @@ def _factor(*xs):
 
 
 _H = 1 / math.sqrt(2)
+BIG_INT = "9" * 400   # too large for a float
 EDGE_SETS = {   # --in product sets at the edges of the input domain
     "complete-2x2": {"party_dims": [2, 2], "states": [
         [_factor(1, 0), _factor(1, 0)], [_factor(1, 0), _factor(0, 1)],
@@ -583,20 +594,33 @@ EDGE_SETS = {   # --in product sets at the edges of the input domain
     "dims-1-1": {"party_dims": [1, 1], "states": [[_factor(1), _factor(1)]]},
     "single-state": {"party_dims": [2, 3],
                      "states": [[_factor(1, 0), _factor(0, 1, 0)]]},
+    "overflow": {"party_dims": [2, 2],
+                 "states": [[_factor(1, 0), _factor(1e308, 1e308)]]},
+    # written as JSON text: a 400-digit integer, and 1e400, which loads as inf
+    "big-int-factor": '{"party_dims": [2, 2], "states": [[[[%s, 0], [0, 0]],'
+                      ' [[1, 0], [0, 0]]]]}' % BIG_INT,
+    "dims-1e400": '{"party_dims": [1e400, 2], "states": [[[[1, 0]],'
+                  ' [[1, 0], [0, 0]]]]}',
 }
 EDGE_COMMANDS = {"auto": ["verify-upb", "--method", "auto"],
                  "exact": ["verify-upb", "--method", "exact"],
                  "bes": ["bes"], "lee": ["lee"]}
 
 
+def _write(path, doc):
+    """path, holding doc as JSON, or doc itself when it is JSON text."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
 def _edge_argv(tmp_path, name, command):
-    path = tmp_path / "set.json"
-    path.write_text(json.dumps(EDGE_SETS[name]))
-    return [*EDGE_COMMANDS[command], "--in", str(path)]
+    return [*EDGE_COMMANDS[command], "--in",
+            _write(tmp_path / "set.json", EDGE_SETS[name])]
 
 
 @pytest.mark.parametrize("command", EDGE_COMMANDS)
 @pytest.mark.parametrize("name", EDGE_SETS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_edge_product_sets_never_raise(capsys, tmp_path, name, command):
     _exit_code(capsys, _edge_argv(tmp_path, name, command))
 
@@ -626,22 +650,37 @@ EDGE_FAMILIES = {   # --in families at the edges of the input domain
     "nan-entry": _family("nan", (math.nan, 0.0), (0.0, 1.0)),
     "overflow": _family("big", (1e308, 1e308), (0.0, 1.0)),
     "no-vectors": _family("empty"),
+    "big-int-entry": '{"label": "big", "params": {}, "dim": 2, "vectors":'
+                     ' [[[%s, 0], [0, 0]]]}' % BIG_INT,
+    "dim-1e400": '{"label": "big", "params": {}, "dim": 1e400,'
+                 ' "vectors": []}',
 }
 
 
 def _family_argv(tmp_path, name, command):
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps(EDGE_FAMILIES[name]))
-    return [command, "--in", str(path)]
+    return [command, "--in", _write(tmp_path / "family.json",
+                                    EDGE_FAMILIES[name])]
 
 
 @pytest.mark.parametrize("command", ["family", "graph", "strength"])
 @pytest.mark.parametrize("name", EDGE_FAMILIES)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_edge_families_never_raise(capsys, tmp_path, name, command):
     _exit_code(capsys, _family_argv(tmp_path, name, command))
 
 
+@pytest.mark.parametrize("name", ["big-int-factor", "dims-1e400"])
+def test_overflowing_set_numbers_are_usage_errors(capsys, tmp_path, name):
+    assert _exit_code(capsys, _edge_argv(tmp_path, name, "auto")) == 2
+
+
+@pytest.mark.parametrize("name", ["big-int-entry", "dim-1e400"])
+def test_overflowing_family_numbers_are_usage_errors(capsys, tmp_path, name):
+    assert _exit_code(capsys, _family_argv(tmp_path, name, "family")) == 2
+
+
 @pytest.mark.parametrize("name", ["nan-entry", "overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_family_vector_errors(capsys, tmp_path, name):
     for command in ("family", "graph", "strength"):
         code, out = run_cli(_family_argv(tmp_path, name, command), capsys)

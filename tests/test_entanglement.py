@@ -187,12 +187,11 @@ class TestLeeUpperBound:
             assert "iterations" not in full.to_json()
             assert "evaluations" not in full.to_json()
 
-    def test_single_restart_stays_at_rank_optimum(self):
-        # restart 0 is the identity embedding: its zero rows get zero
-        # gradient, so it returns the L = r = 4 optimum at any L
+    def test_single_restart_reaches_full_l_optimum(self):
+        # restart 0 is a seeded random isometry like the others, so one
+        # restart at L = 16 finds the optimum, not the L = r = 4 value
         res = lee_upper_bound(pyramid_bes(), (3, 3), L=16, restarts=1)
-        assert abs(res.value - 0.1357291768) <= 1e-9
-        assert res.best.size == 4
+        assert abs(res.value - 0.0729490) <= 1e-7
 
     def test_zero_restarts_rejected(self):
         with pytest.raises(BadSize):
@@ -334,14 +333,10 @@ class TestStarts:
     def test_batched_starts_match_per_restart_retraction(self, L, r):
         seed, R = 11, 9
         U = _starts(seed, R, L, r)
-        assert np.array_equal(U[0], np.eye(L, r))
-        for i in range(1, R):
+        for i in range(R):
             rng = np.random.default_rng([seed, i])
             Y = rng.normal(size=(L, r)) + 1j * rng.normal(size=(L, r))
             assert np.array_equal(U[i], _retract(Y))
-
-    def test_single_restart_has_no_draws(self):
-        assert np.array_equal(_starts(7, 1, 5, 4), np.eye(5, 4)[None])
 
 
 @pytest.fixture(scope="module")

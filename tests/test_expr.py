@@ -18,11 +18,15 @@ def test_values(text, value):
 
 
 BIG = "9" * 400   # parses to inf
+DEEP = "(" * 2000 + "1" + ")" * 2000
+DEEP_SQRT = "sqrt(" * 600 + "1" + ")" * 600
 
 
 @pytest.mark.parametrize("text", ["sqrt(-1)", "acos(2)", "sqrt 2", "cos(1)",
                                   "acos(1", BIG, f"{BIG}-{BIG}",
-                                  f"sqrt({BIG})"])
+                                  f"sqrt({BIG})", "1..2", ".", "1.2.3",
+                                  pytest.param(DEEP, id="parens-2000"),
+                                  pytest.param(DEEP_SQRT, id="sqrt-600")])
 def test_rejected(text):
     with pytest.raises(ExprError):
         parse_angle(text)

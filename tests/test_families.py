@@ -5,11 +5,11 @@ import pytest
 
 from ctxupb.errors import (BadOrder, BadPrime, BadT, DegenerateParameter,
                            DimensionMismatch)
-from ctxupb.families import (VectorFamily, gen_kcbs, genpyramid_local, kcbs,
-                             loor_cycle_complement, one_param_family,
-                             orthogonality_graph, pyramid, quadres_local,
-                             theta_cycle_value, theta_cycle_complement_value,
-                             verify_loor)
+from ctxupb.families import (VectorFamily, gen_kcbs, genpyramid_local,
+                             is_unit, kcbs, loor_cycle_complement,
+                             one_param_family, orthogonality_graph, pyramid,
+                             quadres_local, theta_cycle_value,
+                             theta_cycle_complement_value, verify_loor)
 from ctxupb.graphs import complement, complete, cycle, quadratic_residues
 from ctxupb.contextuality import strength
 
@@ -270,3 +270,17 @@ class TestSerialization:
         assert back.dim == fam.dim
         for a, b in zip(back.vectors, fam.vectors):
             assert np.max(np.abs(a - b)) <= 1e-15
+
+
+class TestUnitNorm:
+    @pytest.mark.parametrize("v", [[1.0, 0.0], [0.6, 0.8j],
+                                   [1 + 1e-10, 0.0]])
+    def test_unit(self, v):
+        assert is_unit(np.array(v, dtype=complex))
+
+    @pytest.mark.parametrize("v", [[1 + 1e-8, 0.0], [np.nan, 0.0],
+                                   [np.inf, 0.0], [1e308, 1e308],
+                                   [1e200j, 0.0]])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_not_unit_and_no_warning(self, v):
+        assert not is_unit(np.array(v, dtype=complex))

@@ -10,7 +10,7 @@ from ctxupb.entanglement import lee_upper_bound
 from ctxupb.families import (kcbs, one_param_family, orthogonality_graph,
                              pyramid)
 from ctxupb.graphs import complement, graph
-from ctxupb.linalg import kron, partial_trace, partial_transpose, rank_of
+from ctxupb.linalg import kron, partial_trace, partial_transpose
 from ctxupb.contextuality import strength
 
 
@@ -27,18 +27,6 @@ def graphs_(draw):
 @settings(max_examples=100, deadline=None)
 def test_complement_involution(g):
     assert complement(complement(g)).edges == g.edges
-
-
-@given(st.integers(min_value=0, max_value=2 ** 30), st.integers(2, 6),
-       st.integers(1, 4))
-@settings(max_examples=50, deadline=None)
-def test_rank_invariant_under_phases(seed, dim, count):
-    rng = np.random.default_rng(seed)
-    vecs = [rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            for _ in range(count)]
-    base = rank_of(vecs)
-    phases = np.exp(2j * np.pi * rng.random(count))
-    assert rank_of([p * v for p, v in zip(phases, vecs)]) == base
 
 
 @given(st.integers(min_value=0, max_value=2 ** 30))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -466,6 +467,20 @@ class TestBatchedNonspanningScan:
         vectors, dim = _degenerate_set("few", 0)
         assert max_nonspanning(vectors, dim) == len(vectors)
 
+    @pytest.mark.parametrize("k,dim", [(0, 1), (0, 3), (1, 2), (3, 5),
+                                       (4, 5)])
+    def test_fewer_than_dim_members_form_one_flat(self, k, dim, monkeypatch):
+        # a repeated member too: fewer than dim vectors never span C^dim,
+        # so the one flat holds them all, without a walk
+        batches = _batch_sizes(monkeypatch)
+        rows = _gaussian(np.random.default_rng([k, dim]), k, dim)
+        rows[1:2] = rows[:1]
+        vectors = _units(rows)
+        flats = nonspanning_flats(vectors, dim)
+        assert flats.tolist() == [[True] * k]
+        assert np.array_equal(flats, reference_flats(vectors, dim))
+        assert batches == []
+
     @pytest.mark.parametrize("k,dim", [(12, 4), (9, 5), (16, 3), (14, 6)])
     def test_scan_spanning_several_chunks(self, k, dim, monkeypatch):
         # budget 0 expands every tree node alone; 2048 expands runs of
@@ -680,7 +695,9 @@ class TestGeneralPosition:
 
 
 class TestProductSetValidation:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308],
+                             ids=["nan", "inf", "overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_factor_rejected(self, bad):
         with pytest.raises(DimensionMismatch, match="not unit norm"):
             product_set((2, 2), [(np.array([bad, 0]), e(2, 0))])
@@ -840,8 +857,11 @@ class TestFullVectors:
              _signed_zero_factor((-0.0, 0.0), (-0.0, -1)))])],
         ids=["2-party", "3-qubit", "4-party", "signed-zeros"])
     def test_bitwise_kron_all(self, ps):
-        want = np.array([kron_all(st) for st in ps.states])
+        # kron_all gives the rows of full_vectors and the witness's vector
+        want = np.array([functools.reduce(np.kron, st) for st in ps.states])
         assert ps.full_vectors().tobytes() == want.tobytes()
+        assert np.array([kron_all(st) for st in ps.states]).tobytes() == \
+            want.tobytes()
         assert ps.full_vectors() is ps.full_vectors()
         assert not ps.full_vectors().flags.writeable
 
