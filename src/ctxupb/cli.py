@@ -156,11 +156,10 @@ def _from_args(a, kind: int):
 
 
 def _tolerances(a) -> Tolerances:
-    if a.tol is None:
-        return Tolerances()
-    if not 0 < a.tol < math.inf:
-        raise UsageError("--tol must be positive and finite")
-    return Tolerances(orth_tol=a.tol, rank_tol=a.tol, psd_tol=a.tol)
+    try:
+        return Tolerances() if a.tol is None else Tolerances(a.tol)
+    except ValueError:
+        raise UsageError("--tol must be positive and finite") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -254,7 +253,7 @@ def cmd_bes(a):
         "rank": rho.rank(tol),
         "trace": float(np.trace(rho.matrix).real),
         "min_pt_eigenvalue": min_pt,
-        "ppt": min_pt >= -tol.psd_tol,
+        "ppt": min_pt >= -tol.atol,
         "max_member_overlap": float(np.max(overlaps)),
         "matrix": np.stack([rho.matrix.real, rho.matrix.imag], axis=-1),
     }

@@ -107,13 +107,12 @@ def pure_lee_term(psi, dims: tuple[int, int]) -> float:
     return linear_entropy(red)
 
 
-def decomposition_value(rho, dims: tuple[int, int], d: Decomposition,
-                        recon_tol: float = 1e-8) -> float:
+def decomposition_value(rho, dims: tuple[int, int], d: Decomposition) -> float:
     """Weighted average of pure-state terms; the decomposition must
-    reconstruct rho within recon_tol in max-entry norm."""
+    reconstruct rho within 1e-8 in max-entry norm."""
     m = as_matrix(rho)
     resid = float(np.max(np.abs(d.mixture() - m)))
-    if resid > recon_tol:
+    if resid > 1e-8:
         raise BadDecomposition("decomposition does not reconstruct the state",
                                residual=resid)
     return float(sum(w * pure_lee_term(s, dims)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BadOrder, BadPrime, BadT, DegenerateParameter, DimensionMismatch
 from .graphs import Graph, graph, is_prime, quadratic_residues
+from .jsonio import is_int
 from .linalg import DEFAULT_TOL, Tolerances, as_vector
 
 UNIT_TOL = 1e-9   # largest | |v| - 1 | of a unit vector
@@ -54,6 +55,8 @@ class VectorFamily:
     notes: tuple = field(default=())
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise DimensionMismatch("family dimension below 1", dim=self.dim)
         for k, v in enumerate(self.vectors):
             if v.shape != (self.dim,):
                 raise DimensionMismatch("family vector has wrong dimension",
@@ -79,11 +82,12 @@ class VectorFamily:
 
     @staticmethod
     def from_json(obj: dict) -> "VectorFamily":
-        vecs = tuple(np.array([complex(re, im) for re, im in v])
-                     for v in obj["vectors"])
-        return VectorFamily(str(obj.get("label", "custom")),
-                            dict(obj.get("params", {})),
-                            int(obj["dim"]), vecs)
+        dim = obj["dim"]
+        if not is_int(dim):
+            raise ValueError(f"dimension must be an integer, not {dim!r}")
+        return _fam(str(obj.get("label", "custom")),
+                    dict(obj.get("params", {})), dim,
+                    [[complex(re, im) for re, im in v] for v in obj["vectors"]])
 
 
 def _fam(label, params, dim, vectors, notes=()):
@@ -92,7 +96,7 @@ def _fam(label, params, dim, vectors, notes=()):
                         tuple(notes))
 
 
-def one_param_family(theta: float, tol: Tolerances = DEFAULT_TOL) -> VectorFamily:
+def one_param_family(theta: float) -> VectorFamily:
     """One-parameter family of five unit vectors in C^3.
 
     Orthogonal pairs are {0,2},{2,4},{4,1},{1,3},{3,0} (the pentagon with
@@ -100,7 +104,7 @@ def one_param_family(theta: float, tol: Tolerances = DEFAULT_TOL) -> VectorFamil
     """
     s, c = math.sin(theta), math.cos(theta)
     norm = math.sqrt(c * c + s * s * c * c)
-    if abs(s) <= tol.rank_tol or norm <= tol.rank_tol:
+    if abs(s) <= DEFAULT_TOL.atol or norm <= DEFAULT_TOL.atol:
         raise DegenerateParameter("family collapses at this angle",
                                   theta=theta, normalization=norm)
     a0 = [s * s, c, -s * c]
@@ -233,14 +237,14 @@ def quadres_local(p: int) -> VectorFamily:
 
 
 def orthogonality_graph(vectors, tol: Tolerances = DEFAULT_TOL) -> Graph:
-    """Graph with an edge wherever |<v_i|v_j>| <= orth_tol, read from the
+    """Graph with an edge wherever |<v_i|v_j>| <= tol.atol, read from the
     strict upper triangle of one Gram product; no vectors give the graph on
     0 vertices. A NaN overlap is no edge."""
     vecs = [as_vector(v) for v in vectors]
     if vecs and any(v.shape != vecs[0].shape for v in vecs):
         raise DimensionMismatch("vectors differ in dimension")
     m = np.array(vecs) if vecs else np.zeros((0, 0), dtype=complex)
-    i, j = np.nonzero(np.triu(np.abs(m.conj() @ m.T) <= tol.orth_tol, 1))
+    i, j = np.nonzero(np.triu(np.abs(m.conj() @ m.T) <= tol.atol, 1))
     return graph(len(vecs), zip(i.tolist(), j.tolist()))
 
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadOrder, NotPrime, SizeMismatch, TooLarge
+from .jsonio import is_int
 
 INDEPENDENCE_BUDGET = 64
 EQUIVALENCE_BUDGET = 16
@@ -63,17 +64,13 @@ class Graph:
     @staticmethod
     def from_json(obj: dict) -> "Graph":
         n, edges = obj["n"], [tuple(e) for e in obj["edges"]]
-        if not _is_int(n) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, "
                              f"not {n!r}")
         for e in edges:
-            if not all(_is_int(x) for x in e):
+            if not all(is_int(x) for x in e):
                 raise ValueError(f"edge endpoints must be integers, not {e!r}")
         return graph(n, edges)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def graph(n: int, edges) -> Graph:

@@ -77,3 +77,8 @@ def _emit(obj, parts: list[str]) -> None:
 
 def loads(text: str):
     return json.loads(text)
+
+
+def is_int(x) -> bool:
+    """Whether a decoded JSON value is an integer (not true, false or 2.0)."""
+    return isinstance(x, int) and not isinstance(x, bool)

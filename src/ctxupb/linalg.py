@@ -1,12 +1,23 @@
-"""Dense complex linear-algebra kernels: Kronecker products, Hermitian
-eigendecompositions, partial trace and partial transpose.
+"""Dense complex linear-algebra kernels (Kronecker products, Hermitian
+eigendecompositions, partial trace and transpose) and the one tolerance.
+All functions are pure; parties in bipartite operations are 0 (A) and 1 (B).
 
-All functions are pure; vectors and matrices are numpy complex arrays.
-Parties in bipartite operations are numbered 0 (A) and 1 (B).
+Tolerances holds the one threshold a caller sets (--tol, 1e-9 by default):
+an overlap |<u|v>| at or below it is orthogonal, a residual norm at or below
+it adds no direction to a span, and an eigenvalue at or above minus it is
+non-negative. The other thresholds are fixed, as no caller needs another
+value: UNIT_TOL (families, 1e-9) bounds | |v| - 1 | of a unit vector;
+HERM_TOL (1e-12) bounds max|M - M^dagger| of a Hermitian matrix and
+|tr rho - 1| of a density matrix; in entanglement, a state's eigenvalues at
+or below EIG_FLOOR (1e-12) are dropped from its rank and decomposition
+basis, decomposition states of weight at or below WEIGHT_FLOOR (1e-12) are
+left out, and an LEE restart stops once an iteration lowers its value by
+less than STOP_DECREASE (1e-10, absolute).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +29,13 @@ HERM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds: orthogonality, rank cutoff, PSD slack."""
+    """The one threshold, atol: positive and finite, or ValueError."""
 
-    orth_tol: float = 1e-9
-    rank_tol: float = 1e-9
-    psd_tol: float = 1e-9
+    atol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.orth_tol, self.rank_tol, self.psd_tol) <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not 0 < self.atol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 DEFAULT_TOL = Tolerances()
@@ -65,18 +74,24 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
+def check_hermitian(m: np.ndarray, error, message: str) -> None:
+    """The Hermitian test: raises error(message, deviation=...) when
+    max|M - M^dagger| of the square matrix m exceeds HERM_TOL."""
+    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if dev > HERM_TOL:
+        raise error(message, deviation=dev)
+
+
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Raises
-    NonHermitian when max|M - M^dagger| exceeds 1e-12.
+    NonHermitian when check_hermitian fails.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("matrix not square", shape=list(m.shape))
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > HERM_TOL:
-        raise NonHermitian("matrix is not Hermitian", deviation=dev)
+    check_hermitian(m, NonHermitian, "matrix is not Hermitian")
     w, v = np.linalg.eigh(m)
     return w, v
 

@@ -36,8 +36,10 @@ from .families import (VectorFamily, gen_kcbs, is_unit,
                        orthogonality_graph, quadres_local)
 from .graphs import (EdgeColoredGraph, colored_equivalence, complement,
                      edge_colored_graph, graph, smallest_nonresidue)
-from .linalg import (DEFAULT_TOL, Tolerances, as_vector, hermitian_eig,
-                     kron_all, partial_transpose)
+from .jsonio import is_int
+from .linalg import (DEFAULT_TOL, HERM_TOL, Tolerances, as_vector,
+                     check_hermitian, hermitian_eig, kron_all,
+                     partial_transpose)
 
 SEARCH_BUDGET = 10 ** 6   # flat nodes one extension search may try
 # complex elements nonspanning_flats holds at once, temporaries and ids too
@@ -110,11 +112,11 @@ class ProductSet:
 
     @staticmethod
     def from_json(obj: dict) -> "ProductSet":
-        dims = tuple(int(d) for d in obj["party_dims"])
-        states = tuple(
-            tuple(np.array([complex(re, im) for re, im in f]) for f in st)
-            for st in obj["states"])
-        return ProductSet(dims, states)
+        dims = obj["party_dims"]
+        if not all(is_int(d) for d in dims):
+            raise ValueError(f"party dimensions must be integers, not {dims!r}")
+        return product_set(dims, [[[complex(re, im) for re, im in f]
+                                   for f in st] for st in obj["states"]])
 
 
 def product_set(party_dims, states) -> ProductSet:
@@ -155,9 +157,8 @@ class DensityMatrix:
         if m.shape != (d, d):
             raise DimensionMismatch("matrix size does not match party dims",
                                     shape=list(m.shape), dims=list(self.party_dims))
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-12:
-            raise DimensionMismatch("density matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-12:
+        check_hermitian(m, DimensionMismatch, "density matrix not Hermitian")
+        if abs(np.trace(m).real - 1.0) > HERM_TOL:
             raise DimensionMismatch("density matrix trace differs from 1",
                                     trace=float(np.trace(m).real))
 
@@ -165,7 +166,7 @@ class DensityMatrix:
         return hermitian_eig(self.matrix)[0]
 
     def rank(self, tol: Tolerances = DEFAULT_TOL) -> int:
-        return int(np.count_nonzero(self.eigenvalues() > tol.psd_tol))
+        return int(np.count_nonzero(self.eigenvalues() > tol.atol))
 
 
 def assemble_mapped(family: VectorFamily, multipliers) -> ProductSet:
@@ -246,7 +247,7 @@ def _validated_witness(ps: ProductSet, factors, tol: Tolerances):
     w = kron_all(factors)
     overlaps = np.abs(ps.full_vectors().conj() @ w)
     worst = float(np.max(overlaps))
-    if not worst <= tol.orth_tol:
+    if not worst <= tol.atol:
         raise NotUpb("extension witness fails orthogonality check",
                      max_overlap=worst)  # pragma: no cover
     return tuple(factors)
@@ -256,7 +257,7 @@ def _child_residuals(res, ids, parent, cols, w, norms):
     """Residuals at the child nodes that add the member in column cols[c] of
     node parent[c]. res is an array (nodes, m, coords): the residuals of the
     m members outside each node's prefix, in the order of their ids (nodes,
-    m). The member's residual w[c], of norm norms[c] > rank_tol, spans the
+    m). The member's residual w[c], of norm norms[c] > atol, spans the
     new direction: one Householder reflection maps it onto the last
     coordinate, which is dropped together with the member's own column.
     Returns the children's residuals (children, m - 1, coords - 1) and ids."""
@@ -310,7 +311,7 @@ def nonspanning_flats(vectors, dim: int,
                       tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Boolean masks, shape (flats, k), of the hyperplane flats of the given
     vectors: for every r = dim - 1 linearly independent members (up to
-    rank_tol), the members lying in their span. Every subset that does not
+    atol), the members lying in their span. Every subset that does not
     span C^dim lies in one of them, since its independent members extend to
     r independent members of the set. Fewer than dim members never span
     C^dim, so when k < dim the one flat holds them all, as it does when no
@@ -320,16 +321,16 @@ def nonspanning_flats(vectors, dim: int,
     independent members. A node at depth t holds the residuals of the k - t
     members outside its prefix against the span of the prefix, shared by
     every subset below it, members-major with their ids. A child adds a
-    member j > i_t whose residual norm is above rank_tol; every prefix
+    member j > i_t whose residual norm is above atol; every prefix
     member comes before j, so j sits in column j - t. One Householder
     reflection maps that residual onto the last coordinate, which is
     dropped together with column j, so residuals at depth t have dim - t
-    coordinates. A member at or below rank_tol adds no direction, and its
+    coordinates. A member at or below atol adds no direction, and its
     subtree is skipped: its spans lie inside spans of independent members.
     The last level has two coordinates and builds no residuals: a leaf's
-    flat holds its prefix and each member x with |w0 x1 - w1 x0| <= rank_tol
+    flat holds its prefix and each member x with |w0 x1 - w1 x0| <= atol
     |w|, w the added member's residual, that is with a residual of norm at
-    most rank_tol against the leaf's span. Leaves come in lexicographic
+    most atol against the leaf's span. Leaves come in lexicographic
     order of their subsets, and several leaves may give the same flat.
 
     The tree is walked depth first in runs of each level's nodes, one numpy
@@ -369,7 +370,7 @@ def nonspanning_flats(vectors, dim: int,
                                   > (lasts - depth)[:, None])
         w = np.take(level.reshape(-1, coords), parent * m + cols, axis=0)
         norms = _norms(w)
-        grow = norms > tol.rank_tol
+        grow = norms > tol.atol
         if not grow.all():
             if not grow.any():
                 return None
@@ -377,7 +378,7 @@ def nonspanning_flats(vectors, dim: int,
                                       norms[grow])
         if coords == 2:    # depth r - 1
             leaf(np.take(ids, parent, axis=0),
-                 _plane_leaves(level, parent, w, norms, tol.rank_tol))
+                 _plane_leaves(level, parent, w, norms, tol.atol))
             return None
         level, ids = _child_residuals(level, ids, parent, cols, w, norms)
         return level, ids, cols + depth
@@ -422,11 +423,11 @@ def _general_position(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
     have norm at most 1: dist(R'x, span R'S) >= |det N[T]|. Mapping back
     by (R R^H)^(1/2), whose smallest singular value is s_min(R), scales
     distances by at least s_min(R). Every residual the walk tests at a node
-    is at least one such distance, so when beta > 2 rank_tol every member
+    is at least one such distance, so when beta > 2 atol every member
     grows, every leaf's flat is its own dim - 1 members and the largest
-    flat is dim - 1, at the walk's margin of rank_tol. The threshold is
-    rank_tol + max(rank_tol, k dim eps s_max(R)): 2 rank_tol unless
-    rank_tol is below the rounding noise of beta and of the walk.
+    flat is dim - 1, at the walk's margin of atol. The threshold is atol +
+    max(atol, k dim eps s_max(R)): 2 atol unless atol is below the
+    rounding noise of beta and of the walk.
 
     The c-subsets are taken in lexicographic runs of at most SCAN_BUDGET
     complex elements of minors, and the first run whose smallest minor puts
@@ -439,7 +440,7 @@ def _general_position(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
     _, s, vh = np.linalg.svd(np.array([as_vector(v) for v in vectors]).T)
     null = vh[dim:].conj().T
     noise = k * dim * np.finfo(float).eps * s[0]
-    threshold = tol.rank_tol + max(tol.rank_tol, noise)
+    threshold = tol.atol + max(tol.atol, noise)
     subsets = itertools.combinations(range(k), c)
     step = max(1, SCAN_BUDGET // max(1, c * c))
     while run := list(itertools.islice(subsets, step)):
@@ -546,7 +547,7 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
     if takes is None:
         return UpbVerdict(unextendible, True, colored_graph=colored)
     witness = [_complement([v for j, v in enumerate(vs) if take >> j & 1], d,
-                           tol.rank_tol)
+                           tol.atol)
                for vs, d, take in zip(factors, ps.party_dims, takes)]
     return UpbVerdict(STATUS_EXTENDIBLE, True,
                       witness=_validated_witness(ps, witness, tol),
@@ -578,7 +579,7 @@ def bound_entangled_state(ps: ProductSet, verdict: UpbVerdict | None = None) -> 
 
 def min_pt_eigenvalue(rho: DensityMatrix, party: int = 1) -> float:
     """Smallest eigenvalue of the partial transpose on `party`; the state
-    is PPT when it is at least -psd_tol."""
+    is PPT when it is at least -atol."""
     if len(rho.party_dims) != 2:
         raise DimensionMismatch("PPT check needs bipartite dims",
                                 dims=list(rho.party_dims))

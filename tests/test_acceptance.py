@@ -178,13 +178,13 @@ def test_c4_exact_verdicts(name, build, expected):
     ok = verdict.status == expected and elapsed < 60.0
     if expected == "Extendible":
         overlap = witness_overlap(ps, verdict.witness)
-        ok = ok and overlap <= DEFAULT_TOL.orth_tol
+        ok = ok and overlap <= DEFAULT_TOL.atol
     report(4, f"exact {name} -> {expected} ({verdict.status}, "
               f"{elapsed:.1f}s)", ok)
     assert elapsed < 60.0
     assert verdict.status == expected, verdict.status
     if expected == "Extendible":
-        assert overlap <= DEFAULT_TOL.orth_tol, overlap
+        assert overlap <= DEFAULT_TOL.atol, overlap
 
 
 @pytest.mark.parametrize("name,build,extension", BOUND_CASES,
@@ -206,7 +206,7 @@ def test_c4_bound_certifications(name, build, extension):
         cert_sum, witness = extension
         overlap = witness_overlap(ps, witness(ps))
         ok = (status == expected and sum(cert) == cert_sum >= ps.k
-              and overlap <= DEFAULT_TOL.orth_tol)
+              and overlap <= DEFAULT_TOL.atol)
     ok = ok and elapsed < 60.0
     report(4, f"bound {name} -> {expected} ({status}{cert}, "
               f"{elapsed:.1f}s)", ok)
@@ -214,7 +214,7 @@ def test_c4_bound_certifications(name, build, extension):
     assert status == expected, (status, cert)
     if extension is not None:
         assert sum(cert) == cert_sum >= ps.k, cert
-        assert overlap <= DEFAULT_TOL.orth_tol, overlap
+        assert overlap <= DEFAULT_TOL.atol, overlap
 
 
 def test_c4_p15_non_upb_with_named_condition():

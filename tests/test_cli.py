@@ -344,7 +344,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("tol", ["0.5", "1"])
     def test_coarse_tol_leaves_no_complement_exit_1(self, capsys, tol):
-        # so coarse a rank_tol finds an extension whose parts leave no
+        # so coarse a tolerance finds an extension whose parts leave no
         # standard-basis vector a residual above it
         code, out = run_cli(["verify-upb", "--tol", tol, "pyramid"], capsys)
         assert code == 1
@@ -601,6 +601,11 @@ EDGE_SETS = {   # --in product sets at the edges of the input domain
                       ' [[1, 0], [0, 0]]]]}' % BIG_INT,
     "dims-1e400": '{"party_dims": [1e400, 2], "states": [[[[1, 0]],'
                   ' [[1, 0], [0, 0]]]]}',
+    # dimensions that int() would truncate to [2, 1] and [2, 2]
+    "dims-2.9-true": {"party_dims": [2.9, True],
+                      "states": [[_factor(1, 0), _factor(1)]]},
+    "dims-2.0": {"party_dims": [2.0, 2], "states": [
+        [_factor(1, 0), _factor(1, 0)], [_factor(0, 1), _factor(0, 1)]]},
 }
 EDGE_COMMANDS = {"auto": ["verify-upb", "--method", "auto"],
                  "exact": ["verify-upb", "--method", "exact"],
@@ -654,6 +659,10 @@ EDGE_FAMILIES = {   # --in families at the edges of the input domain
                      ' [[[%s, 0], [0, 0]]]}' % BIG_INT,
     "dim-1e400": '{"label": "big", "params": {}, "dim": 1e400,'
                  ' "vectors": []}',
+    "dim-minus-5": {"label": "x", "params": {}, "dim": -5, "vectors": []},
+    "dim-0": {"label": "x", "params": {}, "dim": 0, "vectors": []},
+    "dim-2.7": {**_family("frac", (1, 0), (0, 1)), "dim": 2.7},
+    "dim-2.0": {**_family("frac", (1, 0), (0, 1)), "dim": 2.0},
 }
 
 
@@ -679,6 +688,36 @@ def test_overflowing_family_numbers_are_usage_errors(capsys, tmp_path, name):
     assert _exit_code(capsys, _family_argv(tmp_path, name, "family")) == 2
 
 
+@pytest.mark.parametrize("name", ["dims-2.9-true", "dims-2.0"])
+@pytest.mark.parametrize("command", EDGE_COMMANDS)
+def test_non_integer_set_dims_are_usage_errors(capsys, tmp_path, name,
+                                               command):
+    argv = _edge_argv(tmp_path, name, command)
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "party dimensions must be integers" in captured.err
+
+
+@pytest.mark.parametrize("name", ["dim-2.7", "dim-2.0"])
+@pytest.mark.parametrize("command", ["family", "graph", "strength"])
+def test_non_integer_family_dim_is_usage_error(capsys, tmp_path, name,
+                                               command):
+    assert cli.run(_family_argv(tmp_path, name, command)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("name,dim", [("dim-minus-5", -5), ("dim-0", 0)])
+def test_family_dim_below_1_errors(capsys, tmp_path, name, dim):
+    for command in ("family", "graph", "strength"):
+        code, out = run_cli(_family_argv(tmp_path, name, command), capsys)
+        doc = json.loads(out)
+        assert (code, doc["error"], doc["details"]) == (
+            1, "DimensionMismatch", {"dim": dim}), command
+
+
 @pytest.mark.parametrize("name", ["nan-entry", "overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_family_vector_errors(capsys, tmp_path, name):
@@ -695,6 +734,14 @@ def test_graph_of_empty_family(capsys, tmp_path):
     assert doc["result"] == {"n": 0, "edges": []}
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tol_message(capsys, tol):
+    assert cli.run(["verify-upb", "pyramid", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "usage error: --tol must be positive and finite\n")
+
+
 def test_table1_passes_tol(capsys, monkeypatch):
     seen = []
 
@@ -708,7 +755,7 @@ def test_table1_passes_tol(capsys, monkeypatch):
                    capsys, schema="table1")
     assert doc["config"]["tol"] == 1e-6
     assert len(seen) == 5
-    assert all(t == Tolerances(1e-6, 1e-6, 1e-6) for t in seen)
+    assert all(t == Tolerances(1e-6) for t in seen)
 
 
 class Parsed(Exception):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ctxupb.errors import NonHermitian
 from ctxupb.families import gen_kcbs
 from ctxupb.linalg import (Tolerances, hermitian_eig, kron, partial_trace,
                            partial_transpose)
+from ctxupb.upb import gencontextual_upb, verify_upb
 
 from conftest import random_density, random_unit
 
@@ -147,5 +150,18 @@ class TestPartialTranspose:
 
 
 def test_tolerances_must_be_positive():
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerances(bad)
+    assert Tolerances().atol == 1e-9
+    assert Tolerances(1e-300).atol == 1e-300
+
+
+def test_nan_tolerance_fails_when_built():
+    # a NaN tolerance used to reach verification, where every comparison
+    # with it is false, and verify_upb raised NotUpb (a NaN rank cutoff) or
+    # NotOrthogonalSet (NaN throughout) on this UPB
+    ps = gencontextual_upb(7)
     with pytest.raises(ValueError):
-        Tolerances(orth_tol=0.0)
+        verify_upb(ps, Tolerances(math.nan))
+    assert verify_upb(ps, Tolerances(1e-9)).status == "CertifiedUnextendible"

@@ -200,7 +200,7 @@ def test_party_graphs_match_pairwise_overlaps():
         for m, g in enumerate(graphs):
             edges = {(i, j) for i, j in itertools.combinations(range(ps.k), 2)
                      if abs(np.vdot(ps.factor(i, m), ps.factor(j, m)))
-                     <= DEFAULT_TOL.orth_tol}
+                     <= DEFAULT_TOL.atol}
             assert g.n == ps.k and g.edges == edges
             for e in edges:
                 want.setdefault(e, set()).add(m)

@@ -187,7 +187,7 @@ class TestExactVerifier:
         v = verify_upb(ps, method=method)
         assert v.status == "Extendible"
         assert v.certificate is None
-        assert witness_overlap(ps, v.witness) <= DEFAULT_TOL.orth_tol
+        assert witness_overlap(ps, v.witness) <= DEFAULT_TOL.atol
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -316,7 +316,7 @@ def reference_max_nonspanning(vectors, dim, tol=DEFAULT_TOL):
             for b in basis:
                 w = w - np.vdot(b, w) * b
             n = np.linalg.norm(w)
-            if n > tol.rank_tol:
+            if n > tol.atol:
                 basis.append(w / n)
         if basis:
             bm = np.array(basis)
@@ -324,7 +324,7 @@ def reference_max_nonspanning(vectors, dim, tol=DEFAULT_TOL):
         else:
             proj = vecs
         residues = np.linalg.norm(proj, axis=1)
-        best = max(best, int(np.count_nonzero(residues <= tol.rank_tol)))
+        best = max(best, int(np.count_nonzero(residues <= tol.atol)))
     return best
 
 
@@ -406,8 +406,8 @@ def _batch_sizes(monkeypatch, names=("_child_residuals", "_plane_leaves")):
 def reference_flats(vectors, dim, tol=DEFAULT_TOL):
     """The hyperplane flats nonspanning_flats lists, one subset at a time:
     for each r-subset in lexicographic order whose members each leave a
-    residual above rank_tol against the ones before (a LAPACK QR of the
-    subset gives them as |R_ii|), the members within rank_tol of its span."""
+    residual above atol against the ones before (a LAPACK QR of the
+    subset gives them as |R_ii|), the members within atol of its span."""
     k = len(vectors)
     vecs = np.array([np.asarray(v, dtype=complex) for v in vectors])
     r = min(dim - 1, k)
@@ -418,10 +418,10 @@ def reference_flats(vectors, dim, tol=DEFAULT_TOL):
     for chunk in np.array_split(subsets, -(-len(subsets) // 2048)):
         q, rr = np.linalg.qr(vecs[chunk].transpose(0, 2, 1))
         independent = (np.abs(np.diagonal(rr, axis1=1, axis2=2))
-                       > tol.rank_tol).all(axis=1)
+                       > tol.atol).all(axis=1)
         q = q[independent]
         res = vecs.T - q @ (q.conj().transpose(0, 2, 1) @ vecs.T)
-        flats.append(np.linalg.norm(res, axis=1) <= tol.rank_tol)
+        flats.append(np.linalg.norm(res, axis=1) <= tol.atol)
     flats = np.concatenate(flats)
     return flats if len(flats) else np.ones((1, k), dtype=bool)
 
@@ -510,8 +510,8 @@ class TestBatchedNonspanningScan:
 
     def test_last_level_threshold_is_absolute(self):
         # v1 leaves a residual of 1e-3 against v0, so the last level's test
-        # |w0 x1 - w1 x0| <= rank_tol |w| must scale with that |w|: x_in
-        # lies 0.5 rank_tol from span(v0, v1), x_out 2 rank_tol
+        # |w0 x1 - w1 x0| <= atol |w| must scale with that |w|: x_in
+        # lies 0.5 atol from span(v0, v1), x_out 2 atol
         a = 1e-3
 
         def unit_z(z):
@@ -646,14 +646,14 @@ class TestGeneralPosition:
     @pytest.mark.parametrize("dim,corank", [(4, 0), (5, 1), (6, 2), (7, 3)])
     def test_declines_near_a_hyperplane(self, dim, corank, offset, walk,
                                         budget, monkeypatch):
-        # 0.5 rank_tol off lies in the flat, 2 rank_tol off does not; the
+        # 0.5 atol off lies in the flat, 2 atol off does not; the
         # certificate leaves both to the walk. The small minor is that of
         # the c-subset between the hyperplane's members and the last one,
         # past the first run when budget 0 takes one subset a run.
         monkeypatch.setattr(upb, "SCAN_BUDGET", budget)
         rng = np.random.default_rng([dim, corank, 13])
         vectors = _member_off_hyperplane(rng, dim, dim + corank,
-                                         offset * DEFAULT_TOL.rank_tol)
+                                         offset * DEFAULT_TOL.atol)
         assert upb._general_position(vectors, dim) is None
         assert max_nonspanning(vectors, dim) == dim - 1 + walk
 
@@ -799,7 +799,7 @@ class TestIsPpt:
         from ctxupb.upb import DensityMatrix
         dm = DensityMatrix(rho, (2, 2))
         assert min_pt_eigenvalue(dm) == pytest.approx(-0.5, abs=1e-12)
-        assert min_pt_eigenvalue(dm) < -DEFAULT_TOL.psd_tol
+        assert min_pt_eigenvalue(dm) < -DEFAULT_TOL.atol
 
     def test_product_density_passes(self, rng):
         from conftest import random_density
@@ -807,7 +807,7 @@ class TestIsPpt:
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
         dm = DensityMatrix(rho, (2, 3))
         for party in (0, 1):
-            assert min_pt_eigenvalue(dm, party) >= -DEFAULT_TOL.psd_tol
+            assert min_pt_eigenvalue(dm, party) >= -DEFAULT_TOL.atol
 
     def test_multipartite_rejected(self):
         from ctxupb.upb import DensityMatrix
