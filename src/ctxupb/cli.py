@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import contextuality, entanglement, families, graphs, jsonio, upb
-from .errors import DomainError
+from .errors import DomainError, EmptyFamily
 from .expr import ExprError, parse_angle
 from .linalg import Tolerances
 
@@ -299,9 +299,17 @@ def _columns(*cols):
     return lambda res: (cols, [[row[c] for c in cols] for row in res["rows"]])
 
 
+def _family_csv(res):
+    """One re,im column pair per dimension; a family with no vectors has
+    no rows to lay out, whatever its dimension."""
+    if not res["vectors"]:
+        raise EmptyFamily("family has no vectors", dim=res["dim"])
+    return ([f"re{i},im{i}" for i in range(res["dim"])],
+            [[x for z in v for x in z] for v in res["vectors"]])
+
+
 CSV_LAYOUTS = {   # command: result -> (header cells, rows of cells)
-    "family": lambda res: ([f"re{i},im{i}" for i in range(res["dim"])],
-                           [[x for z in v for x in z] for v in res["vectors"]]),
+    "family": _family_csv,
     "graph": lambda res: (("i", "j"), res["edges"]),
     "table1": _columns("theta", "upb_type", "strength", "strength_ref",
                        "strength_dev", "lee", "lee_ref", "lee_dev"),

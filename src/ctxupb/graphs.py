@@ -3,7 +3,8 @@ numbers, and edge-colored graph equivalence.
 
 Vertices are always 0..n-1. Undirected edges are stored as (i, j) pairs with
 i < j. Exact searches carry explicit budgets (independence: n <= 64,
-colored equivalence: n <= 16).
+colored equivalence: n <= 16, relabeling onto a Paley graph:
+RELABEL_BUDGET candidates).
 
 The independence search takes every vertex of degree <= 1 before it
 branches, which solves paths, trees and cycles almost at once. The
@@ -23,6 +24,7 @@ from .jsonio import is_int
 
 INDEPENDENCE_BUDGET = 64
 EQUIVALENCE_BUDGET = 16
+RELABEL_BUDGET = 10 ** 5   # candidates paley_relabeling may try
 
 
 def _norm_edge(i: int, j: int) -> tuple[int, int]:
@@ -270,6 +272,58 @@ def paley(q: int) -> Graph:
     edges = [(i, j) for i in range(q) for j in range(i + 1, q)
              if gf.sub(j, i) in squares]
     return graph(q, edges)
+
+
+def paley_relabeling(g: Graph):
+    """Map, vertex v of g to perm[v], carrying g onto paley(g.n), or None
+    if there is none or the search tries RELABEL_BUDGET nodes without one.
+
+    Paley graphs are arc-transitive, so when some map exists, one sends the
+    first edge of g to the arc (0, 1): the search fixes that arc. It then
+    maps the unmapped vertex with the fewest candidates, each candidate in
+    turn (one node each). A candidate of v is an unused vertex adjacent to
+    the images of v's mapped neighbours and to no image of its mapped
+    non-neighbours; a branch where some vertex has none is pruned.
+    """
+    target = paley(g.n)
+    half = (g.n - 1) // 2
+    gadj, padj = g.adjacency_masks(), target.adjacency_masks()
+    if any(m.bit_count() != half for m in gadj):
+        return None
+    full = (1 << g.n) - 1
+    pnon = [full & ~(m | 1 << x) for x, m in enumerate(padj)]
+
+    def mapped(cands, v, x):
+        # cands of the other vertices once v maps to x; None if one has none
+        out = {}
+        for w, c in cands.items():
+            if w != v:
+                c &= padj[x] if gadj[v] >> w & 1 else pnon[x]
+                if not c:
+                    return None
+                out[w] = c
+        return out
+
+    u, v = min(g.edges)
+    cands = mapped(dict.fromkeys(range(g.n), full), u, 0)
+    cands = cands and mapped(cands, v, 1)
+    stack, nodes = [(cands, {u: 0, v: 1})] if cands else [], 0
+    while stack:
+        cands, perm = stack.pop()
+        if not cands:
+            return tuple(perm[w] for w in range(g.n))
+        w = min(cands, key=lambda x: cands[x].bit_count())
+        m = cands[w]
+        while m:
+            if nodes == RELABEL_BUDGET:
+                return None
+            nodes += 1
+            x = (m & -m).bit_length() - 1
+            m &= m - 1
+            rest = mapped(cands, w, x)
+            if rest is not None:
+                stack.append((rest, {**perm, w: x}))
+    return None
 
 
 @dataclass(frozen=True)

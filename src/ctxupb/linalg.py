@@ -75,10 +75,12 @@ def kron_all(factors) -> np.ndarray:
 
 
 def check_hermitian(m: np.ndarray, error, message: str) -> None:
-    """The Hermitian test: raises error(message, deviation=...) when
-    max|M - M^dagger| of the square matrix m exceeds HERM_TOL."""
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > HERM_TOL:
+    """The Hermitian test: raises error(message, deviation=...) unless
+    max|M - M^dagger| of the square matrix m is at most HERM_TOL, so a NaN
+    or infinite diagonal entry fails it, with no warning."""
+    with np.errstate(invalid="ignore"):
+        dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    if not dev <= HERM_TOL:
         raise error(message, deviation=dev)
 
 

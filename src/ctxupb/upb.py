@@ -9,15 +9,21 @@ party-m factors of S_m fail to span party m's space for every m (such a
 split exists exactly when some product state is orthogonal to all the
 states). One verifier, verify_upb, checks (1) and then (2) from each
 party's hyperplane flats: every non-spanning subset lies in one. The
-largest flat sizes form a certificate: if they sum below k, (2) holds. A
-party whose members are in general position with room to spare, checked
-on the null space of its k x d factor matrix (_general_position), has
-largest flat d - 1; any other party is walked once (nonspanning_flats),
-which lists its flats. If the certificate does not close, the parties not
-yet walked are walked too, and a depth-first search gives each party in
-turn one of its flats' intersections with the states still left, until
-the parts cover every state (an extension), no branch is left, or it has
-tried SEARCH_BUDGET flat nodes.
+largest flat sizes form a certificate: if they sum below k, (2) holds.
+Each party's largest flat is found by the first of three checks that
+applies. A party whose Gram matrix matches QuadRes's within atol, up to a
+relabeling and a phase per member (_quadres_position), has largest flat
+d - 1 by Chebotarev's theorem on the minors of the prime-order DFT matrix;
+that certifies the exact QuadRes set with that Gram, not a margin of the
+given vectors. A party whose members are in general position with room to
+spare, checked on the null space of its k x d factor matrix
+(_general_position), has largest flat d - 1 too; any other party is
+walked once (nonspanning_flats), which lists its flats. If the certificate
+does not close, the parties not yet walked are walked too, and a
+depth-first search gives each party in turn one of its flats'
+intersections with the states still left, until the parts cover every
+state (an extension), no branch is left, or it has tried SEARCH_BUDGET
+flat nodes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from .families import (VectorFamily, gen_kcbs, is_unit,
                        loor_cycle_complement, one_param_family,
                        orthogonality_graph, quadres_local)
 from .graphs import (EdgeColoredGraph, colored_equivalence, complement,
-                     edge_colored_graph, graph, smallest_nonresidue)
+                     edge_colored_graph, graph, is_prime, paley_relabeling,
+                     smallest_nonresidue)
 from .jsonio import is_int
 from .linalg import (DEFAULT_TOL, HERM_TOL, Tolerances, as_vector,
                      check_hermitian, hermitian_eig, kron_all,
@@ -131,10 +138,13 @@ class UpbVerdict:
     condition1: bool
     witness: tuple | None = None       # product factors of the extension
     certificate: tuple | None = None   # per-party max non-spanning sizes
-    # edge-colored orthogonality graph built by the condition-1 check; not
-    # part of the verdict's JSON
+    # not part of the verdict's JSON: the edge-colored orthogonality graph
+    # built by the condition-1 check, and per party the check that found its
+    # largest flat ("gram", "general-position" or "walk") with the Gram
+    # distance of a "gram" match (None otherwise)
     colored_graph: EdgeColoredGraph | None = field(default=None, repr=False,
                                                    compare=False)
+    checks: tuple = field(default=(), repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {"status": self.status, "condition1": self.condition1}
@@ -158,7 +168,7 @@ class DensityMatrix:
             raise DimensionMismatch("matrix size does not match party dims",
                                     shape=list(m.shape), dims=list(self.party_dims))
         check_hermitian(m, DimensionMismatch, "density matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > HERM_TOL:
+        if not abs(np.trace(m).real - 1.0) <= HERM_TOL:
             raise DimensionMismatch("density matrix trace differs from 1",
                                     trace=float(np.trace(m).real))
 
@@ -450,6 +460,59 @@ def _general_position(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
     return dim - 1
 
 
+def _quadres_position(vectors, dim: int, tol: Tolerances = DEFAULT_TOL):
+    """(dim - 1, Gram distance) when the members' Gram matrix is, within
+    atol, that of the QuadRes family up to a relabeling of the members and
+    a phase on each; None when any premise fails.
+
+    QuadRes at a prime k = 2 dim - 1 = 1 mod 4 has Gram I + c A, where A is
+    the Paley graph of Z_k and c = 2 / (sqrt(k) + 1): its members are the
+    rows of a DFT matrix of order k restricted to the columns of 0 and the
+    squares, one column scaled. Every square minor of the DFT matrix of
+    prime order is nonzero (Chebotarev; Stevenhagen and Lenstra 1996, Tao
+    2005), so every dim members are independent, and so are those of any
+    set with Gram D^H (I + c A') D, A' a relabeling of A and D diagonal
+    phases, for such a set is the image of a relabeled, phased QuadRes set
+    under an isometry. Then every dim - 1 members span a hyperplane that
+    holds no other member, and the largest flat is dim - 1.
+
+    The premises are checked on the input: k is such a prime; every
+    off-diagonal Gram modulus lies within atol of 0 or of c, with 2 atol < c
+    so that no modulus is near both; the graph A' of the pairs near c maps
+    onto the Paley graph (graphs.paley_relabeling); and with the phases D
+    read off a breadth-first spanning tree of A', max |Gram - D^H (I + c
+    A') D| <= atol, the Gram distance returned. The certificate covers that
+    exact set: it claims no residual margin for the given vectors.
+    """
+    k = len(vectors)
+    if k != 2 * dim - 1 or k % 4 != 1 or not is_prime(k):
+        return None
+    c = 2 / (math.sqrt(k) + 1)
+    if not 2 * tol.atol < c:
+        return None
+    m = np.array([as_vector(v) for v in vectors])
+    gram = m.conj() @ m.T
+    mod = np.abs(gram)
+    orthogonal, near = mod <= tol.atol, np.abs(mod - c) <= tol.atol
+    np.fill_diagonal(orthogonal, True)
+    np.fill_diagonal(near, False)
+    if not np.all(orthogonal | near):
+        return None
+    i, j = np.nonzero(np.triu(near, 1))
+    if paley_relabeling(graph(k, zip(i.tolist(), j.tolist()))) is None:
+        return None
+    phase = np.zeros(k, dtype=complex)
+    phase[0] = 1
+    frontier = [0]
+    for x in frontier:   # Paley graphs are connected: every member is reached
+        for y in np.flatnonzero(near[x] & (phase == 0)).tolist():
+            phase[y] = phase[x] * gram[x, y] / mod[x, y]
+            frontier.append(y)
+    want = phase.conj()[:, None] * (np.eye(k) + c * near) * phase
+    distance = float(np.max(np.abs(gram - want)))
+    return (dim - 1, distance) if distance <= tol.atol else None
+
+
 def _flat_search(flats, k: int):
     """One take per party, bitsets of state indices that cover all k states,
     each inside one of its party's flats (masks from nonspanning_flats), or
@@ -506,8 +569,10 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
 
     Checks condition 1 (raising NotOrthogonalSet with the first pair
     orthogonal in no party), then the certificate: each party's largest
-    hyperplane flat, d - 1 where _general_position shows it, and otherwise
-    from the walk (nonspanning_flats); both give the same size. If it sums
+    hyperplane flat, d - 1 where _quadres_position matches its Gram with
+    QuadRes's or else _general_position shows it, and otherwise from the
+    walk (nonspanning_flats); the verdict's checks record which one decided
+    each party, with the Gram distance of a match. If it sums
     below k the verdict is UPB (CompleteBasis when k >= total_dim) under
     "exact" and CertifiedUnextendible with the certificate under "auto" and
     "bound". Otherwise "bound" raises Inconclusive, while "exact" and
@@ -523,17 +588,25 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
     colored = _check_condition1(ps, tol)
     factors = [[ps.factor(j, m) for j in range(ps.k)]
                for m in range(ps.n_parties)]
-    flats, cert = [], []
+    flats, cert, checks = [], [], []
     for vs, d in zip(factors, ps.party_dims):
-        largest = _general_position(vs, d, tol)
-        flats.append(None if largest else nonspanning_flats(vs, d, tol))
-        cert.append(largest or int(flats[-1].sum(axis=1).max()))
+        flat, check = None, "gram"
+        largest, distance = _quadres_position(vs, d, tol) or (None, None)
+        if largest is None:
+            largest, check = _general_position(vs, d, tol), "general-position"
+        if largest is None:
+            flat = nonspanning_flats(vs, d, tol)
+            largest, check = int(flat.sum(axis=1).max()), "walk"
+        flats.append(flat)
+        cert.append(largest)
+        checks.append((check, distance))
     unextendible = STATUS_COMPLETE if ps.k >= ps.total_dim else STATUS_UPB
+    extra = {"colored_graph": colored, "checks": tuple(checks)}
     if sum(cert) < ps.k:
         if method == "exact":
-            return UpbVerdict(unextendible, True, colored_graph=colored)
+            return UpbVerdict(unextendible, True, **extra)
         return UpbVerdict(STATUS_CERTIFIED, True, certificate=tuple(cert),
-                          colored_graph=colored)
+                          **extra)
     if method == "bound":
         raise Inconclusive("non-spanning certificate does not close",
                            certificate=cert, k=ps.k)
@@ -545,13 +618,12 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
         raise Inconclusive(str(e), certificate=cert, k=ps.k,
                            **e.details) from None
     if takes is None:
-        return UpbVerdict(unextendible, True, colored_graph=colored)
+        return UpbVerdict(unextendible, True, **extra)
     witness = [_complement([v for j, v in enumerate(vs) if take >> j & 1], d,
                            tol.atol)
                for vs, d, take in zip(factors, ps.party_dims, takes)]
     return UpbVerdict(STATUS_EXTENDIBLE, True,
-                      witness=_validated_witness(ps, witness, tol),
-                      colored_graph=colored)
+                      witness=_validated_witness(ps, witness, tol), **extra)
 
 
 def is_minimal(ps: ProductSet) -> bool:

@@ -734,6 +734,27 @@ def test_graph_of_empty_family(capsys, tmp_path):
     assert doc["result"] == {"n": 0, "edges": []}
 
 
+@pytest.mark.parametrize("dim", [2, 10 ** 12])
+def test_csv_of_empty_family_errors(capsys, tmp_path, dim):
+    # exits before the header, one re,im pair per dimension, is built
+    argv = ["family", "--in", _write(tmp_path / "family.json",
+                                     {**_family("empty"), "dim": dim}),
+            "--format", "csv"]
+    code, out = run_cli(argv, capsys)
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema("error"))
+    assert (code, doc) == (1, {"error": "EmptyFamily", "details": {"dim": dim},
+                               "message": "family has no vectors"})
+
+
+def test_json_of_empty_family_keeps_its_dim(capsys, tmp_path):
+    path = _write(tmp_path / "family.json",
+                  {**_family("empty"), "dim": 10 ** 12})
+    doc = run_json(["family", "--in", path], capsys, schema="vector_family")
+    assert doc["result"] == {"label": "empty", "params": {}, "dim": 10 ** 12,
+                             "vectors": []}
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_bad_tol_message(capsys, tol):
     assert cli.run(["verify-upb", "pyramid", "--tol", tol]) == 2

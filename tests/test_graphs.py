@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from ctxupb.errors import BadOrder, NotPrime, SizeMismatch, TooLarge
+from ctxupb import graphs
 from ctxupb.graphs import (EQUIVALENCE_BUDGET, Graph, colored_equivalence,
                            complement, complete, cycle, edge_colored_graph,
                            galois_field, graph, independence_number, is_cycle,
-                           max_independent_set, paley, quadratic_residues,
-                           smallest_nonresidue)
+                           max_independent_set, paley, paley_relabeling,
+                           quadratic_residues, smallest_nonresidue)
 
 
 def brute_force_witness(g):
@@ -492,3 +493,59 @@ class TestOrder:
         g = graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         assert not is_cycle(g)
         assert not is_cycle(complement(cycle(7)))
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return graph(g.n, [(perm[i], perm[j]) for i, j in g.edges])
+
+
+def _circulant(n, steps):
+    return graph(n, [(i, (i + s) % n) for i in range(n) for s in steps])
+
+
+class TestPaleyRelabeling:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 37, 41, 49])
+    def test_maps_relabeled_paley_onto_paley(self, q, seed):
+        g = _relabeled(paley(q), seed)
+        perm = paley_relabeling(g)
+        assert sorted(perm) == list(range(q))
+        assert graph(q, [(perm[i], perm[j]) for i, j in g.edges]) == paley(q)
+
+    def test_fixes_the_first_edge_on_the_first_arc(self):
+        g = _relabeled(paley(29), 4)
+        i, j = min(g.edges)
+        perm = paley_relabeling(g)
+        assert (perm[i], perm[j]) == (0, 1)
+
+    def test_complement_of_prime_paley(self):
+        # x -> n0 x, n0 a non-square, maps P_p onto its complement
+        g = complement(paley(17))
+        perm = paley_relabeling(g)
+        assert graph(17, [(perm[i], perm[j]) for i, j in g.edges]) == paley(17)
+
+    def test_non_paley_circulant(self):
+        # 6-regular on Z_13 like P_13, but its connection set is not the
+        # squares {1, 3, 4, 9, 10, 12}
+        assert paley_relabeling(_circulant(13, (1, 2, 3))) is None
+
+    @pytest.mark.parametrize("g", [cycle(13), graph(13, []),
+                                   _circulant(13, (1, 3, 4, 9, 10, 12, 2))],
+                             ids=["cycle", "empty", "denser"])
+    def test_irregular_degree(self, g):
+        assert paley_relabeling(g) is None
+
+    def test_over_budget(self, monkeypatch):
+        # the map fixes 11 vertices after the arc, one candidate each at
+        # least, so 5 candidates cannot reach it
+        g = _relabeled(paley(13), 1)
+        assert paley_relabeling(g) is not None
+        monkeypatch.setattr(graphs, "RELABEL_BUDGET", 5)
+        assert paley_relabeling(g) is None
+
+    @pytest.mark.parametrize("n", [7, 15, 21])
+    def test_order_without_paley_graph(self, n):
+        with pytest.raises(BadOrder):
+            paley_relabeling(cycle(n))

@@ -63,6 +63,13 @@ class TestHermitianEig:
         with pytest.raises(NonHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_diagonal(self, bad):
+        # max|M - M^dagger| is NaN here, which no comparison with HERM_TOL
+        # passes
+        with pytest.raises(NonHermitian):
+            hermitian_eig(np.diag([bad, 1.0]))
+
     def test_trace_reconstruction_and_gram(self, rng):
         for d in (5, 17, 81):
             m = random_density(rng, d) * d  # arbitrary scale

@@ -12,7 +12,7 @@ from ctxupb.errors import (BadPrime, DimensionMismatch, EmptyFamily,
 from ctxupb.families import (genpyramid_local, one_param_family, pyramid,
                              quadres_local)
 from ctxupb.graphs import complement, complete, cycle, is_cycle
-from ctxupb.linalg import (DEFAULT_TOL, hermitian_eig, kron_all,
+from ctxupb.linalg import (DEFAULT_TOL, Tolerances, hermitian_eig, kron_all,
                            partial_transpose)
 from ctxupb.upb import (ProductSet, _validated_witness, assemble_mapped,
                         bound_entangled_state, gencontextual_upb, is_minimal,
@@ -694,6 +694,165 @@ class TestGeneralPosition:
         assert set(coords) == {3}
 
 
+def _party_moves(ps, seed):
+    """ps under per-party unitaries, one state permutation, a unit phase on
+    every factor, and the parties swapped: moves that keep its
+    certificate."""
+    rng = np.random.default_rng([seed, 17])
+    states = [list(st) for st in ps.states]
+    us = [random_unitary(rng, d) for d in ps.party_dims]
+    perm = rng.permutation(ps.k)
+    phases = np.exp(2j * np.pi * rng.random((ps.k, ps.n_parties)))
+    return {
+        "unitaries": [[u @ f for u, f in zip(us, st)] for st in states],
+        "permuted": [states[i] for i in perm],
+        "phased": [[z * f for z, f in zip(zs, st)]
+                   for zs, st in zip(phases, states)],
+        "swapped": [st[::-1] for st in states],
+    }
+
+
+def _no_walk(*args):
+    raise AssertionError("nonspanning_flats called")
+
+
+def _party(ps, m):
+    return [ps.factor(j, m) for j in range(ps.k)]
+
+
+class TestQuadresPosition:
+    """upb._quadres_position: dim - 1 from a Gram matrix that matches
+    QuadRes's, only where the walk's largest flat is dim - 1, and verify_upb
+    trying it before _general_position and the walk."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("p", [5, 13, 17, 29])
+    def test_invariant_under_moves(self, p, seed, monkeypatch):
+        monkeypatch.setattr(upb, "nonspanning_flats", _no_walk)
+        d = (p + 1) // 2
+        for move, states in _party_moves(quadres_upb(p), seed).items():
+            verdict = verify_upb(product_set((d, d), states))
+            assert verdict.certificate == (d - 1, d - 1), move
+            assert [c for c, _ in verdict.checks] == ["gram", "gram"], move
+            assert all(dist <= 1e-13 for _, dist in verdict.checks), move
+
+    @pytest.mark.parametrize("ps", [quadres_upb(5), quadres_upb(13),
+                                    quadres_upb(17), pyramid_upb()],
+                             ids=["quadres-5", "quadres-13", "quadres-17",
+                                  "pyramid"])
+    def test_agrees_with_the_walk(self, ps):
+        for m, d in enumerate(ps.party_dims):
+            vectors = _party(_rotated(ps, m), m)
+            largest, distance = upb._quadres_position(vectors, d)
+            assert largest == max_nonspanning(vectors, d) == d - 1
+            assert distance <= 1e-13
+
+    @pytest.mark.parametrize("p", [5, 13, 17])
+    def test_moved_member_falls_through_to_the_walk(self, p, monkeypatch):
+        # moving a member off its d - 1 orthogonal partners breaks condition
+        # 1 in QuadRes itself, so the second party is a basis of C^p, in
+        # which every pair is orthogonal
+        vectors = _party(quadres_upb(p), 0)
+        d = len(vectors[0])
+        rng = np.random.default_rng([p, 19])
+        moved = vectors[0] + 1e-6 * rng.normal(size=d)
+        vectors = [moved / np.linalg.norm(moved), *vectors[1:]]
+        assert upb._quadres_position(vectors, d) is None
+        assert max_nonspanning(vectors, d) == d - 1
+        walked = []
+        real = upb.nonspanning_flats
+        monkeypatch.setattr(upb, "nonspanning_flats",
+                            lambda vs, *a: walked.append(len(vs[0]))
+                            or real(vs, *a))
+        ps = product_set((d, p), [(v, e(p, j)) for j, v in
+                                  enumerate(vectors)])
+        verdict = verify_upb(ps)
+        assert verdict.checks == (("walk", None), ("general-position", None))
+        assert verdict.certificate is None and walked[0] == d
+
+    @pytest.mark.parametrize("atol", [0.5, 0.31, 0.309017])
+    def test_coarse_tolerance_declines(self, atol):
+        # 2 atol must stay below c = 2 / (sqrt(5) + 1) = 0.618...
+        vectors = _party(pyramid_upb(), 0)
+        assert upb._quadres_position(vectors, 3, Tolerances(atol)) is None
+
+    def test_fine_coarse_tolerance_certifies(self):
+        vectors = _party(pyramid_upb(), 0)
+        assert upb._quadres_position(vectors, 3, Tolerances(0.3))[0] == 2
+
+    @pytest.mark.parametrize("vectors,dim", [
+        (_units(_gaussian(np.random.default_rng(3), 7, 4)), 4),  # 7 = 3 mod 4
+        (_units(_gaussian(np.random.default_rng(4), 9, 5)), 5),  # 9 composite
+        (_party(gencontextual_upb(9), 1), 7),     # k != 2 dim - 1
+        (_party(one_param_upb(math.pi / 12), 0), 3),   # moduli not 0 or c
+        (_party(quadres_upb(13), 0)[:-1] + [_party(quadres_upb(13), 0)[0]],
+         7),                                       # a repeated member
+    ], ids=["k-3-mod-4", "k-composite", "k-not-2d-1", "moduli", "repeated"])
+    def test_premise_fails(self, vectors, dim):
+        assert upb._quadres_position(vectors, dim) is None
+
+    def test_twisted_phases_decline(self):
+        # quadres 13's Gram with each non-orthogonal entry turned by a
+        # random angle, then cut to rank 7: every modulus stays within the
+        # tolerance of 0 or c, but no diagonal D gives the phases
+        ps = quadres_upb(13)
+        vectors = np.array(_party(ps, 0))
+        gram = vectors.conj() @ vectors.T
+        angles = np.triu(np.random.default_rng([13, 23]).normal(
+            scale=0.15, size=(13, 13)), 1)
+        w, v = np.linalg.eigh(gram * np.exp(1j * (angles - angles.T)))
+        twisted = v[:, -7:] * np.sqrt(w[-7:])
+        twisted = list(twisted.conj() / np.linalg.norm(twisted, axis=1,
+                                                       keepdims=True))
+        mod = np.abs(np.array(twisted).conj() @ np.array(twisted).T)
+        np.fill_diagonal(mod, 0)
+        c = 2 / (math.sqrt(13) + 1)
+        tol = Tolerances(0.1)
+        assert np.all(np.minimum(mod, abs(mod - c)) <= tol.atol)
+        assert upb._quadres_position(vectors, 7, tol) is not None
+        assert upb._quadres_position(twisted, 7, tol) is None
+
+    @pytest.mark.parametrize("p,cert", [(29, [14, 14]), (37, [18, 18]),
+                                        (41, [20, 20])])
+    def test_large_quadres_without_a_walk(self, p, cert, monkeypatch, capsys):
+        monkeypatch.setattr(upb, "nonspanning_flats", _no_walk)
+        assert cli.run(["verify-upb", "quadres", "--p", str(p)]) == 0
+        result = jsonio.loads(capsys.readouterr().out)["result"]
+        assert result["status"] == "CertifiedUnextendible"
+        assert result["certificate"] == cert
+
+    def test_bes_quadres_29(self, monkeypatch, capsys):
+        # D = 225, rank D - k = 196
+        monkeypatch.setattr(upb, "nonspanning_flats", _no_walk)
+        assert cli.run(["bes", "quadres", "--p", "29"]) == 0
+        result = jsonio.loads(capsys.readouterr().out)["result"]
+        assert result["status"] == "CertifiedUnextendible"
+        assert (result["ppt"], result["rank"]) == (True, 196)
+
+    @pytest.mark.parametrize("name,params", [
+        ("pyramid", {}), ("kcbs", {}), ("quadres", {"p": 5}),
+        ("quadres", {"p": 13}), ("quadres", {"p": 17}),
+        ("gencontextual", {"n": 5}), ("gencontextual", {"n": 13}),
+        ("one-param", {"theta": "pi/12"})],
+        ids=lambda x: x if isinstance(x, str) else ",".join(
+            map(str, x.values())))
+    def test_verdicts_as_if_walked(self, name, params, monkeypatch):
+        base = cli.build_upb(name, **params)
+        sets = [base, *(_rotated(base, seed) for seed in range(2))]
+
+        def docs():
+            return [jsonio.dumps(verify_upb(ps, method=m).to_json())
+                    for ps in sets for m in ("auto", "exact")]
+        want = docs()
+        monkeypatch.setattr(upb, "_quadres_position", lambda *a: None)
+        assert docs() == want
+
+    def test_checks_name_the_deciding_step(self):
+        verdict = verify_upb(gencontextual_upb(7))
+        assert verdict.checks == (("walk", None), ("general-position", None))
+        assert "checks" not in verdict.to_json()
+
+
 class TestProductSetValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308],
                              ids=["nan", "inf", "overflow"])
@@ -813,6 +972,19 @@ class TestIsPpt:
         from ctxupb.upb import DensityMatrix
         with pytest.raises(DimensionMismatch):
             min_pt_eigenvalue(DensityMatrix(np.eye(8) / 8, (2, 2, 2)))
+
+
+class TestDensityMatrixValidation:
+    @pytest.mark.parametrize("matrix", [np.full((4, 4), np.nan),
+                                        np.diag([np.nan, 1.0, 0.0, 0.0])],
+                             ids=["all-nan", "nan-diagonal"])
+    def test_nan_rejected(self, matrix):
+        with pytest.raises(DimensionMismatch):
+            upb.DensityMatrix(matrix, (2, 2))
+
+    def test_trace_off_one_rejected(self):
+        with pytest.raises(DimensionMismatch, match="trace"):
+            upb.DensityMatrix(np.eye(4) / 2, (2, 2))
 
 
 class TestGraphEquivalence:
