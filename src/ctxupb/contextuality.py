@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BadOrder, DimensionMismatch
 from .families import theta_cycle_value, theta_cycle_complement_value
 from .graphs import (Graph, complement, galois_field,
-                     independence_number, is_cycle, paley)
+                     independence_number, is_cycle, paley, paley_relabeling)
 from .linalg import as_vector, hermitian_eig
 
 TABLE2_ORDERS = (5, 9, 13, 17, 25, 29)
@@ -108,7 +108,7 @@ def _closed_form_theta(g: Graph):
         return theta_cycle_complement_value(g.n)
     if g.n % 4 == 1:
         try:
-            if g.edges == paley(g.n).edges:
+            if paley_relabeling(g) is not None:
                 return math.sqrt(g.n)
         except BadOrder:
             pass

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadOrder, BadPrime, BadT, DegenerateParameter, DimensionMismatch
-from .graphs import Graph, graph, is_prime, quadratic_residues
+from .graphs import (Graph, colored_equivalence, graph, is_prime,
+                     quadratic_residues)
 from .jsonio import is_int
 from .linalg import DEFAULT_TOL, Tolerances, as_vector
 
@@ -270,18 +271,13 @@ def verify_loor(family: VectorFamily, expected: Graph, expected_theta: float,
                 tol: Tolerances = DEFAULT_TOL) -> LoorReport:
     """Certify a family as a Lovasz-optimal orthogonal representation of the
     expected graph: the orthogonality pattern must match the expected graph
-    (exactly, or up to relabeling when the exact match fails) and the family
-    strength must be within 1e-6 of the expected Lovasz number."""
+    up to relabeling (graphs.colored_equivalence) and the family strength
+    must be within 1e-6 of the expected Lovasz number."""
     from .contextuality import strength
-    from .graphs import colored_equivalence, edge_colored_graph
 
     got = orthogonality_graph(family.vectors, tol)
-    match = (got.n == expected.n and got.edges == expected.edges)
-    if not match and got.n == expected.n:
-        wrap_got = edge_colored_graph(got.n, {e: {0} for e in got.edges})
-        wrap_exp = edge_colored_graph(expected.n,
-                                      {e: {0} for e in expected.edges})
-        match = colored_equivalence(wrap_got, wrap_exp) is not None
+    match = (got.n == expected.n
+             and colored_equivalence(got, expected) is not None)
     dev = max(abs(np.linalg.norm(v) - 1.0) for v in family.vectors)
     s = strength(family.vectors, family.label).value
     gap = abs(s - expected_theta)

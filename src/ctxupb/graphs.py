@@ -2,9 +2,9 @@
 numbers, and edge-colored graph equivalence.
 
 Vertices are always 0..n-1. Undirected edges are stored as (i, j) pairs with
-i < j. Exact searches carry explicit budgets (independence: n <= 64,
-colored equivalence: n <= 16, relabeling onto a Paley graph:
-RELABEL_BUDGET candidates).
+i < j. Exact searches carry explicit budgets: independence n <= 64, and
+RELABEL_BUDGET candidates for the one relabeling search
+(colored_equivalence), which also maps graphs onto Paley graphs.
 
 The independence search takes every vertex of degree <= 1 before it
 branches, which solves paths, trees and cycles almost at once. The
@@ -17,18 +17,27 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import BadOrder, NotPrime, SizeMismatch, TooLarge
 from .jsonio import is_int
 
 INDEPENDENCE_BUDGET = 64
-EQUIVALENCE_BUDGET = 16
-RELABEL_BUDGET = 10 ** 5   # candidates paley_relabeling may try
+RELABEL_BUDGET = 10 ** 5   # candidates colored_equivalence may try
 
 
 def _norm_edge(i: int, j: int) -> tuple[int, int]:
+    i, j = operator.index(i), operator.index(j)   # numpy ints overflow masks
     return (i, j) if i < j else (j, i)
+
+
+def _adjacency_masks(n: int, edges) -> list[int]:
+    adj = [0] * n
+    for (i, j) in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
 
 
 @dataclass(frozen=True)
@@ -51,11 +60,7 @@ class Graph:
         return sum(1 for e in self.edges if v in e)
 
     def adjacency_masks(self) -> list[int]:
-        adj = [0] * self.n
-        for (i, j) in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return adj
+        return _adjacency_masks(self.n, self.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -275,55 +280,13 @@ def paley(q: int) -> Graph:
 
 
 def paley_relabeling(g: Graph):
-    """Map, vertex v of g to perm[v], carrying g onto paley(g.n), or None
-    if there is none or the search tries RELABEL_BUDGET nodes without one.
-
-    Paley graphs are arc-transitive, so when some map exists, one sends the
-    first edge of g to the arc (0, 1): the search fixes that arc. It then
-    maps the unmapped vertex with the fewest candidates, each candidate in
-    turn (one node each). A candidate of v is an unused vertex adjacent to
-    the images of v's mapped neighbours and to no image of its mapped
-    non-neighbours; a branch where some vertex has none is pruned.
-    """
-    target = paley(g.n)
-    half = (g.n - 1) // 2
-    gadj, padj = g.adjacency_masks(), target.adjacency_masks()
-    if any(m.bit_count() != half for m in gadj):
+    """Map, vertex v of g to perm[v], carrying g onto paley(g.n)
+    (colored_equivalence), or None if there is none or the search meets its
+    node budget first."""
+    try:
+        return colored_equivalence(g, paley(g.n))
+    except TooLarge:
         return None
-    full = (1 << g.n) - 1
-    pnon = [full & ~(m | 1 << x) for x, m in enumerate(padj)]
-
-    def mapped(cands, v, x):
-        # cands of the other vertices once v maps to x; None if one has none
-        out = {}
-        for w, c in cands.items():
-            if w != v:
-                c &= padj[x] if gadj[v] >> w & 1 else pnon[x]
-                if not c:
-                    return None
-                out[w] = c
-        return out
-
-    u, v = min(g.edges)
-    cands = mapped(dict.fromkeys(range(g.n), full), u, 0)
-    cands = cands and mapped(cands, v, 1)
-    stack, nodes = [(cands, {u: 0, v: 1})] if cands else [], 0
-    while stack:
-        cands, perm = stack.pop()
-        if not cands:
-            return tuple(perm[w] for w in range(g.n))
-        w = min(cands, key=lambda x: cands[x].bit_count())
-        m = cands[w]
-        while m:
-            if nodes == RELABEL_BUDGET:
-                return None
-            nodes += 1
-            x = (m & -m).bit_length() - 1
-            m &= m - 1
-            rest = mapped(cands, w, x)
-            if rest is not None:
-                stack.append((rest, {**perm, w: x}))
-    return None
 
 
 @dataclass(frozen=True)
@@ -354,57 +317,97 @@ def edge_colored_graph(n: int, color: dict) -> EdgeColoredGraph:
     return EdgeColoredGraph(n, norm)
 
 
-def _color_signature(g: EdgeColoredGraph, v: int):
-    sig = {}
-    for (i, j), c in g.color.items():
-        if v in (i, j):
-            sig[c] = sig.get(c, 0) + 1
-    return tuple(sorted(sig.items(), key=lambda kv: (sorted(kv[0]), kv[1])))
+def _color_rows(g) -> list[dict]:
+    """Per vertex v, each color at v -> the bitset of the vertices joined to
+    v in that color. A Graph's edges share one color, and a missing edge is
+    one more color, None."""
+    if isinstance(g, EdgeColoredGraph):
+        classes: dict = {}
+        for e, c in g.color.items():
+            classes.setdefault(c, []).append(e)
+    else:
+        classes = {0: g.edges}
+    rows = [{} for _ in range(g.n)]
+    for c, edges in classes.items():
+        for row, m in zip(rows, _adjacency_masks(g.n, edges)):
+            if m:
+                row[c] = m
+    full = (1 << g.n) - 1
+    for v, row in enumerate(rows):
+        missing = full & ~(sum(row.values()) | 1 << v)   # classes are disjoint
+        if missing:
+            row[None] = missing
+    return rows
 
 
-def colored_equivalence(a: EdgeColoredGraph, b: EdgeColoredGraph):
+def colored_equivalence(a, b):
     """Permutation pi with color_a(u,v) == color_b(pi(u),pi(v)) for all pairs,
-    or None. Backtracking with per-vertex color-degree signatures; vertex
-    budget 16."""
+    or None. a and b are EdgeColoredGraphs, or Graphs (one edge color).
+
+    Each vertex v of a starts with the vertices of b that have its
+    color-degree signature as candidates. Mapping v to x keeps, for each
+    unmapped w, only the candidates in x's color class of color_a(v, w), so
+    x leaves every list; a branch where some list empties is pruned. The
+    unmapped vertex with the fewest candidates (lowest index on ties) is
+    mapped next, trying its candidates lowest first, one node each. Past
+    RELABEL_BUDGET nodes the search raises TooLarge.
+    """
     if a.n != b.n:
         raise SizeMismatch("vertex counts differ", a=a.n, b=b.n)
-    n = a.n
-    if n > EQUIVALENCE_BUDGET:
-        raise TooLarge("colored equivalence budget exceeded",
-                       n=n, budget=EQUIVALENCE_BUDGET)
-    sig_a = [_color_signature(a, v) for v in range(n)]
-    sig_b = [_color_signature(b, v) for v in range(n)]
-    cands = [[w for w in range(n) if sig_b[w] == sig_a[v]] for v in range(n)]
-    if any(not c for c in cands):
-        return None
-    order = sorted(range(n), key=lambda v: len(cands[v]))
-    perm = [-1] * n
-    used = [False] * n
+    if a.n == 0:
+        return ()
+    rows_a, rows_b = _color_rows(a), _color_rows(b)
 
-    def consistent(v: int, w: int) -> bool:
-        for u in order:
-            x = perm[u]
-            if x < 0:
-                continue
-            if a.colorset(v, u) != b.colorset(w, x):
-                return False
-        return True
+    def signature(row):
+        return frozenset((c, m.bit_count()) for c, m in row.items())
 
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for w in cands[v]:
-            if used[w] or not consistent(v, w):
-                continue
-            perm[v] = w
-            used[w] = True
-            if backtrack(k + 1):
-                return True
-            perm[v] = -1
-            used[w] = False
-        return False
+    by_signature: dict = {}
+    for x, row in enumerate(rows_b):
+        s = signature(row)
+        by_signature[s] = by_signature.get(s, 0) | 1 << x
 
-    if backtrack(0):
-        return tuple(perm)
+    full = (1 << a.n) - 1
+    mapped = full | 1 << a.n   # more candidates than any vertex can have
+
+    def narrowed(cands, free, v, x):
+        # cands once v maps to x; None if some unmapped vertex has none left
+        out = list(cands)
+        out[v] = mapped
+        for c, m in rows_a[v].items():
+            image, m = rows_b[x][c], m & free
+            while m:
+                w = (m & -m).bit_length() - 1
+                out[w] &= image
+                if not out[w]:
+                    return None
+                m &= m - 1
+        return out
+
+    def frame(cands, free):
+        # [vertex to map, its untried candidates, all candidates, the rest]
+        sizes = list(map(int.bit_count, cands))
+        v = sizes.index(min(sizes))
+        return [v, cands[v], cands, free & ~(1 << v)]
+
+    perm = [0] * a.n
+    cands = [by_signature.get(signature(row), 0) for row in rows_a]
+    stack, nodes = [frame(cands, full)], 0
+    while stack:
+        top = stack[-1]
+        v, untried, cands, free = top
+        if not untried:
+            stack.pop()
+            continue
+        if nodes == RELABEL_BUDGET:
+            raise TooLarge("relabeling search budget exceeded",
+                           nodes=nodes, budget=RELABEL_BUDGET)
+        nodes += 1
+        x = (untried & -untried).bit_length() - 1
+        top[1] = untried & (untried - 1)
+        rest = narrowed(cands, free, v, x)
+        if rest is not None:
+            perm[v] = x
+            if not free:
+                return tuple(perm)
+            stack.append(frame(rest, free))
     return None

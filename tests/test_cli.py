@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -6,11 +7,11 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ctxupb import cli, jsonio, upb
+from ctxupb import cli, graphs, jsonio, upb
 from ctxupb.families import one_param_family
 from ctxupb.linalg import Tolerances
 
-from conftest import qubit_basis
+from conftest import qubit_basis, random_unitary
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "schemas")
 
@@ -609,7 +610,7 @@ EDGE_SETS = {   # --in product sets at the edges of the input domain
 }
 EDGE_COMMANDS = {"auto": ["verify-upb", "--method", "auto"],
                  "exact": ["verify-upb", "--method", "exact"],
-                 "bes": ["bes"], "lee": ["lee"]}
+                 "bes": ["bes"], "lee": ["lee"], "equiv": ["equiv"]}
 
 
 def _write(path, doc):
@@ -619,8 +620,10 @@ def _write(path, doc):
 
 
 def _edge_argv(tmp_path, name, command):
-    return [*EDGE_COMMANDS[command], "--in",
-            _write(tmp_path / "set.json", EDGE_SETS[name])]
+    path = _write(tmp_path / "set.json", EDGE_SETS[name])
+    # equiv takes two product sets as operands, not --in
+    operands = [path, path] if command == "equiv" else ["--in", path]
+    return [*EDGE_COMMANDS[command], *operands]
 
 
 @pytest.mark.parametrize("command", EDGE_COMMANDS)
@@ -644,6 +647,52 @@ def test_edge_product_set_errors(capsys, tmp_path, name, commands, error,
         doc = json.loads(out)
         assert (code, doc["error"], doc["details"]) == (1, error, detail), \
             command
+
+
+@pytest.mark.parametrize("name", ["complete-2x2", "dims-1-2", "dims-1-1",
+                                  "single-state"])
+def test_edge_product_sets_equiv_to_themselves(capsys, tmp_path, name):
+    doc = run_json(_edge_argv(tmp_path, name, "equiv"), capsys,
+                   schema="equiv")
+    k = len(EDGE_SETS[name]["states"])
+    assert doc["result"]["permutation"] == list(range(k))
+
+
+def _moved_copy(ps, seed):
+    """ps with its states shuffled and a random unitary on each party."""
+    rng = np.random.default_rng(seed)
+    us = [random_unitary(rng, d) for d in ps.party_dims]
+    return upb.ProductSet(ps.party_dims, tuple(
+        tuple(u @ f for u, f in zip(us, ps.states[i]))
+        for i in rng.permutation(ps.k)))
+
+
+class TestEquivPastSixteenStates:
+    @pytest.mark.parametrize("name,params", [
+        ("quadres", {"p": 17}), ("quadres", {"p": 29}),
+        ("gencontextual", {"n": 31})], ids=["quadres-17", "quadres-29",
+                                             "gencontextual-31"])
+    def test_moved_copy(self, capsys, tmp_path, name, params):
+        token = f"{name}:{','.join(map(str, params.values()))}"
+        ps = cli.build_upb(name, **params)
+        moved = _moved_copy(ps, 5)
+        path = tmp_path / "moved.json"
+        path.write_text(jsonio.dumps(moved.to_json()))
+        doc = run_json(["equiv", token, str(path)], capsys, schema="equiv")
+        perm = doc["result"]["permutation"]
+        assert sorted(perm) == list(range(ps.k))
+        _, a = upb.party_graphs(ps)
+        _, b = upb.party_graphs(moved)
+        assert all(a.colorset(i, j) == b.colorset(perm[i], perm[j])
+                   for i, j in itertools.combinations(range(ps.k), 2))
+
+    def test_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "RELABEL_BUDGET", 3)
+        code, out = run_cli(["equiv", "quadres:17", "quadres:17"], capsys)
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert (code, doc["error"], doc["details"]) == \
+            (1, "TooLarge", {"nodes": 3, "budget": 3})
 
 
 def _family(label, *vectors):

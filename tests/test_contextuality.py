@@ -140,6 +140,24 @@ class TestQcg:
     def test_cycle_complement_closed_form(self):
         assert is_qcg(complement(cycle(7))) == QCG
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("g", [paley(9), paley(13), paley(17), paley(29),
+                                   cycle(5), cycle(7), cycle(9), cycle(11)],
+                             ids=["paley-9", "paley-13", "paley-17",
+                                  "paley-29", "cycle-5", "cycle-7", "cycle-9",
+                                  "cycle-11"])
+    def test_verdict_ignores_labels(self, g, seed):
+        # every graph here and its complement has a closed-form theta
+        perm = np.random.default_rng(seed).permutation(g.n)
+        for h in (g, complement(g)):
+            moved = graph(h.n, [(perm[i], perm[j]) for i, j in h.edges])
+            assert is_qcg(moved) == is_qcg(h) != UNKNOWN
+
+    @pytest.mark.parametrize("q", [9, 13, 17, 29])
+    def test_paley_complement_keeps_verdict(self, q):
+        # Paley graphs are self-complementary
+        assert is_qcg(complement(paley(q))) == is_qcg(paley(q))
+
     def test_unknown_without_closed_form(self):
         g = graph(4, [(0, 1), (1, 2), (2, 3)])
         assert is_qcg(g) == UNKNOWN

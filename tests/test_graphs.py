@@ -7,7 +7,7 @@ import pytest
 
 from ctxupb.errors import BadOrder, NotPrime, SizeMismatch, TooLarge
 from ctxupb import graphs
-from ctxupb.graphs import (EQUIVALENCE_BUDGET, Graph, colored_equivalence,
+from ctxupb.graphs import (Graph, colored_equivalence,
                            complement, complete, cycle, edge_colored_graph,
                            galois_field, graph, independence_number, is_cycle,
                            max_independent_set, paley, paley_relabeling,
@@ -352,10 +352,7 @@ class TestGaloisField:
 
 class TestPaley:
     def test_paley5_is_pentagon(self):
-        g = paley(5)
-        wrap = lambda gg: edge_colored_graph(gg.n,
-                                             {e: {0} for e in gg.edges})
-        assert colored_equivalence(wrap(g), wrap(cycle(5))) is not None
+        assert colored_equivalence(paley(5), cycle(5)) is not None
 
     def test_paley9_regular(self):
         g = paley(9)
@@ -364,9 +361,7 @@ class TestPaley:
 
     def test_paley13_self_complementary_by_search(self):
         g = paley(13)
-        wrap = lambda gg: edge_colored_graph(gg.n,
-                                             {e: {0} for e in gg.edges})
-        assert colored_equivalence(wrap(g), wrap(complement(g))) is not None
+        assert colored_equivalence(g, complement(g)) is not None
 
     @pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29])
     def test_self_complementary_via_multiplier_witness(self, q):
@@ -401,11 +396,9 @@ class TestColoredEquivalence:
         pent = {(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)}
         a = self.wrap_bipartition(pent, 5)
         perm = colored_equivalence(a, a)
-        assert perm is not None
-        b = {a.colorset(i, j) for i in range(5) for j in range(i + 1, 5)}
-        assert perm == tuple(range(5)) or all(
-            a.colorset(i, j) == a.colorset(perm[i], perm[j])
-            for i in range(5) for j in range(i + 1, 5))
+        assert sorted(perm) == list(range(5))
+        assert all(a.colorset(i, j) == a.colorset(perm[i], perm[j])
+                   for i in range(5) for j in range(i + 1, 5))
 
     def test_pentagon_vs_chorded_four_cycle_absent(self):
         pent = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
@@ -427,12 +420,15 @@ class TestColoredEquivalence:
         with pytest.raises(SizeMismatch):
             colored_equivalence(a, b)
 
-    def test_budget(self):
-        n = EQUIVALENCE_BUDGET + 1
-        color = {(i, i + 1): {0} for i in range(n - 1)}
-        a = edge_colored_graph(n, color)
-        with pytest.raises(TooLarge):
+    def test_node_budget(self, monkeypatch):
+        # a 17-vertex path maps onto itself in 17 nodes, one per vertex
+        n = 17
+        a = edge_colored_graph(n, {(i, i + 1): {0} for i in range(n - 1)})
+        assert colored_equivalence(a, a) is not None
+        monkeypatch.setattr(graphs, "RELABEL_BUDGET", n - 1)
+        with pytest.raises(TooLarge) as err:
             colored_equivalence(a, a)
+        assert err.value.details == {"nodes": n - 1, "budget": n - 1}
 
     def test_agrees_with_brute_force_on_random_colorings(self, rng):
         for trial in range(10):
@@ -455,6 +451,51 @@ class TestColoredEquivalence:
             if got is not None:
                 assert all(a.colorset(i, j) == b.colorset(got[i], got[j])
                            for i in range(n) for j in range(i + 1, n))
+
+    def test_agrees_with_brute_force_on_three_colors(self, rng):
+        # every pair colored {0}, {1} or {0, 1}; b is a relabeled copy of a
+        # in half the trials, so both answers come up
+        n, colors = 6, ({0}, {1}, {0, 1})
+        pairs = list(itertools.combinations(range(n), 2))
+        for trial in range(12):
+            a = edge_colored_graph(n, {e: colors[rng.integers(3)]
+                                       for e in pairs})
+            if trial % 2:
+                b = edge_colored_graph(n, {e: colors[rng.integers(3)]
+                                           for e in pairs})
+            else:
+                p = rng.permutation(n)
+                b = edge_colored_graph(n, {(p[i], p[j]): a.colorset(i, j)
+                                           for i, j in pairs})
+            got = colored_equivalence(a, b)
+            oracle = any(all(a.colorset(i, j) == b.colorset(p[i], p[j])
+                             for i, j in pairs)
+                         for p in itertools.permutations(range(n)))
+            assert (got is not None) == oracle
+            if got is not None:
+                assert sorted(got) == list(range(n))
+                assert all(a.colorset(i, j) == b.colorset(got[i], got[j])
+                           for i, j in pairs)
+
+    def test_strongly_regular_twins_differ(self):
+        # the Shrikhande graph and the 4x4 rook's graph are both
+        # srg(16, 6, 2, 2), so every vertex has the same signature
+        cells = [(r, c) for r in range(4) for c in range(4)]
+        shrikhande = graph(16, [
+            (4 * r + c, 4 * ((r + dr) % 4) + (c + dc) % 4) for r, c in cells
+            for dr, dc in ((1, 0), (0, 1), (1, 1))])
+        assert colored_equivalence(shrikhande, _rook(4)) is None
+
+    def test_rook_3x3_is_paley_9(self):
+        perm = colored_equivalence(_rook(3), paley(9))
+        assert graph(9, [(perm[i], perm[j]) for i, j in _rook(3).edges]) \
+            == paley(9)
+
+
+def _rook(m):
+    # the m x m rook's graph: cells sharing a row or a column
+    return graph(m * m, [(u, v) for u, v in itertools.combinations(
+        range(m * m), 2) if u // m == v // m or u % m == v % m])
 
 
 class TestSerialization:
@@ -488,6 +529,11 @@ class TestOrder:
         with pytest.raises(ValueError):
             Graph.from_json(doc)
 
+    def test_numpy_labels_become_ints(self):
+        # with a numpy int64 label, 1 << 65 is 0 and the edge leaves the mask
+        g = graph(70, [(np.int64(0), np.int64(65))])
+        assert g.adjacency_masks()[0] == 1 << 65
+
     def test_is_cycle_on_irregular_degrees(self):
         # degree sum 2n but not 2-regular: a triangle with a pendant path
         g = graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
@@ -514,12 +560,6 @@ class TestPaleyRelabeling:
         assert sorted(perm) == list(range(q))
         assert graph(q, [(perm[i], perm[j]) for i, j in g.edges]) == paley(q)
 
-    def test_fixes_the_first_edge_on_the_first_arc(self):
-        g = _relabeled(paley(29), 4)
-        i, j = min(g.edges)
-        perm = paley_relabeling(g)
-        assert (perm[i], perm[j]) == (0, 1)
-
     def test_complement_of_prime_paley(self):
         # x -> n0 x, n0 a non-square, maps P_p onto its complement
         g = complement(paley(17))
@@ -538,8 +578,8 @@ class TestPaleyRelabeling:
         assert paley_relabeling(g) is None
 
     def test_over_budget(self, monkeypatch):
-        # the map fixes 11 vertices after the arc, one candidate each at
-        # least, so 5 candidates cannot reach it
+        # the map tries at least one candidate for each of the 13 vertices,
+        # so 5 candidates cannot reach it
         g = _relabeled(paley(13), 1)
         assert paley_relabeling(g) is not None
         monkeypatch.setattr(graphs, "RELABEL_BUDGET", 5)
