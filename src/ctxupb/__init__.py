@@ -5,8 +5,9 @@ from .linalg import (Tolerances, DEFAULT_TOL, kron, hermitian_eig,
                      partial_trace, partial_transpose)
 from .graphs import (Graph, EdgeColoredGraph, GaloisField, graph, cycle,
                      complement, is_cycle, independence_number,
-                     max_independent_set, quadratic_residues, galois_field,
-                     paley, colored_equivalence, edge_colored_graph)
+                     max_independent_set, paley_independent_set,
+                     quadratic_residues, galois_field, paley,
+                     colored_equivalence, edge_colored_graph)
 from .families import (VectorFamily, one_param_family, pyramid, kcbs,
                        genpyramid_local, gen_kcbs, loor_cycle_complement,
                        quadres_local, orthogonality_graph, verify_loor)

@@ -214,15 +214,17 @@ def _graph_from_args(a):
         return _read_input(a.infile, graphs.Graph.from_json)
     if a.family == "cycle":
         return graphs.cycle(_graph_param(a))
-    if a.family == "paley":
-        return graphs.paley(_graph_param(a))
     raise UsageError("give --in FILE or a graph family (cycle --n, paley --q)")
 
 
 def cmd_alpha(a):
-    g = _graph_from_args(a)
-    size, witness = graphs.max_independent_set(g)
-    return {"n": g.n, "alpha": size, "witness": list(witness)}
+    if a.family == "paley" and not a.infile:   # searched through its reduction
+        n = _graph_param(a)
+        size, witness = graphs.paley_independent_set(n)
+    else:
+        g = _graph_from_args(a)
+        n, (size, witness) = g.n, graphs.max_independent_set(g)
+    return {"n": n, "alpha": size, "witness": list(witness)}
 
 
 def _bipartite(a, ps):

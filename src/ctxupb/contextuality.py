@@ -17,7 +17,8 @@ import numpy as np
 from .errors import BadOrder, DimensionMismatch
 from .families import theta_cycle_value, theta_cycle_complement_value
 from .graphs import (Graph, complement, galois_field,
-                     independence_number, is_cycle, paley, paley_relabeling)
+                     independence_number, is_cycle, paley_independent_set,
+                     paley_relabeling)
 from .linalg import as_vector, hermitian_eig
 
 TABLE2_ORDERS = (5, 9, 13, 17, 25, 29)
@@ -132,7 +133,7 @@ def table2() -> list[dict]:
     rows = []
     for q in TABLE2_ORDERS:
         th = theta_paley(q).value
-        alpha = independence_number(paley(q))
+        alpha = paley_independent_set(q)[0]
         rows.append({"q": q, "theta": th, "alpha": alpha,
                      "ratio": th / alpha})
     return rows

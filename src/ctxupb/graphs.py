@@ -2,15 +2,21 @@
 numbers, and edge-colored graph equivalence.
 
 Vertices are always 0..n-1. Undirected edges are stored as (i, j) pairs with
-i < j. Exact searches carry explicit budgets: independence n <= 64, and
-RELABEL_BUDGET candidates for the one relabeling search
+i < j. Exact searches carry explicit budgets: independence n <= 64 on the
+graph searched, and RELABEL_BUDGET candidates for the one relabeling search
 (colored_equivalence), which also maps graphs onto Paley graphs.
 
 The independence search takes every vertex of degree <= 1 before it
-branches, which solves paths, trees and cycles almost at once. The
-lexicographically smallest maximum independent set is built vertex by
-vertex, each step a decision search that stops as soon as the rest of the
-set is known to fit.
+branches, which solves paths, trees and cycles almost at once, and keeps
+the maximum set it found as a bitmask. The lexicographically smallest
+maximum independent set is built vertex by vertex from that known set: a
+vertex in it is kept with no search, any other vertex costs a decision
+search that stops as soon as the rest of the set is known to fit and,
+when it succeeds, replaces the known set. A vertex whose decision fails
+can lie in no later maximum set (max_independent_set gives the proof), so
+it leaves the candidates. Paley graphs are searched through the common
+non-neighbours of one non-edge, (q - 5) / 4 vertices
+(paley_independent_set), so the 64-vertex cap admits q <= 257.
 """
 
 from __future__ import annotations
@@ -129,10 +135,10 @@ def is_cycle(g: Graph) -> bool:
     return is_connected(g)
 
 
-def _max_independent_branch(adj: list[int], cand: int, size: int,
+def _max_independent_branch(adj: list[int], cand: int, size: int, mask: int,
                             best: list[int], stop: int) -> None:
-    """Raises best[0] to size + alpha(cand) if that is larger; returns early
-    once best[0] >= stop.
+    """Raises best to [size + alpha(cand), mask plus a maximum set of cand]
+    if that is larger; returns early once best[0] >= stop.
 
     A candidate of degree <= 1 inside cand is always taken: some maximum
     independent set contains it. Otherwise the search branches on a vertex
@@ -144,7 +150,7 @@ def _max_independent_branch(adj: list[int], cand: int, size: int,
         if size + cand.bit_count() <= best[0]:
             return
         if cand == 0:
-            best[0] = size
+            best[0], best[1] = size, mask
             return
         v, vdeg = -1, -1
         m = cand
@@ -159,37 +165,52 @@ def _max_independent_branch(adj: list[int], cand: int, size: int,
             m &= m - 1
         if vdeg <= 1:
             size += 1
+            mask |= 1 << v
             cand &= ~(adj[v] | (1 << v))
             continue
         _max_independent_branch(adj, cand & ~(adj[v] | (1 << v)), size + 1,
-                                best, stop)
+                                mask | 1 << v, best, stop)
         if best[0] >= stop:
             return
         cand &= ~(1 << v)
 
 
-def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size (n <= 64): branch and bound on a
-    vertex of largest degree, after taking every vertex of degree <= 1."""
+def _maximum_set(g: Graph) -> tuple[list[int], list[int]]:
+    """(adjacency masks, [alpha, a maximum independent set as a bitmask])."""
     if g.n > INDEPENDENCE_BUDGET:
         raise TooLarge("independence search budget exceeded",
                        n=g.n, budget=INDEPENDENCE_BUDGET)
-    best = [0]
-    _max_independent_branch(g.adjacency_masks(), (1 << g.n) - 1, 0, best,
-                            g.n + 1)
-    return best[0]
+    adj = g.adjacency_masks()
+    best = [0, 0]
+    _max_independent_branch(adj, (1 << g.n) - 1, 0, 0, best, g.n + 1)
+    return adj, best
+
+
+def independence_number(g: Graph) -> int:
+    """Exact maximum independent set size (n <= 64): branch and bound on a
+    vertex of largest degree, after taking every vertex of degree <= 1."""
+    return _maximum_set(g)[1][0]
 
 
 def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Independence number plus the lexicographically smallest witness.
 
-    Each vertex in turn is kept if the rest of a maximum set still fits among
-    its non-neighbours. That is a decision, alpha(sub) >= need - 1, so each
-    search starts from an incumbent of need - 2 and stops once it finds
-    need - 1.
+    The search for alpha also yields a maximum set, the known set. Each
+    vertex v of cand in turn is kept if the rest of a maximum set still
+    fits among its non-neighbours, and the known set is always such a set
+    for the vertices chosen so far. A vertex in the known set is kept with
+    no search. Any other vertex costs a decision, alpha(sub) >= need - 1,
+    searched from an incumbent of need - 2 that stops once it finds
+    need - 1; a success makes the set it found the known set.
+
+    A vertex whose decision fails leaves cand for good. Suppose it was
+    rejected with cand K and need k, and a later step, with the vertices
+    C chosen since, had a maximum set S of its cand holding it. Each vertex
+    of C lies in K, and the later cand excludes C and its neighbours, so
+    S + C is an independent set of k vertices in K that holds the rejected
+    vertex: it would have been kept.
     """
-    alpha = independence_number(g)
-    adj = g.adjacency_masks()
+    adj, (alpha, known) = _maximum_set(g)
     chosen: list[int] = []
     cand = (1 << g.n) - 1
     need = alpha
@@ -199,13 +220,42 @@ def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
         if not (cand >> v) & 1:
             continue
         sub = cand & ~(adj[v] | (1 << v))
-        best = [need - 2]
-        _max_independent_branch(adj, sub, 0, best, need - 1)
-        if best[0] >= need - 1:
-            chosen.append(v)
-            cand = sub
-            need -= 1
+        if not (known >> v) & 1:
+            best = [need - 2, 0]
+            _max_independent_branch(adj, sub, 0, 0, best, need - 1)
+            if best[0] < need - 1:
+                cand &= ~(1 << v)
+                continue
+            known = best[1]
+        chosen.append(v)
+        cand = sub
+        need -= 1
     return alpha, tuple(chosen)
+
+
+def paley_independent_set(q: int) -> tuple[int, tuple[int, ...]]:
+    """max_independent_set(paley(q)) through one arc's common
+    non-neighbours, so the search runs on (q - 5) / 4 vertices.
+
+    Translations make Paley graphs vertex-transitive, so 0 lies in some
+    maximum set. Multiplying by the squares fixes 0 and carries any
+    non-square onto the smallest one, n0; so a maximum set holding 0 and
+    n0 exists, and alpha = 2 + alpha(H), H induced on the common
+    non-neighbours of 0 and n0. Those are non-squares, so all exceed n0,
+    while 1 .. n0 - 1 are squares, adjacent to 0. The witness 0, n0, then
+    H's lex-smallest set (H relabeled in order) is therefore the
+    lex-smallest witness of paley(q). The 64-vertex cap applies to H.
+    """
+    adj = paley(q).adjacency_masks()
+    far = ~adj[0] & ((1 << q) - 2)          # the non-squares
+    n0 = (far & -far).bit_length() - 1
+    rest = far & ~adj[n0] & ~(1 << n0)
+    verts = [v for v in range(q) if (rest >> v) & 1]
+    h = graph(len(verts), [(a, b) for b, w in enumerate(verts)
+                           for a, u in enumerate(verts[:b])
+                           if (adj[u] >> w) & 1])
+    alpha, witness = max_independent_set(h)
+    return alpha + 2, (0, n0) + tuple(verts[i] for i in witness)
 
 
 def is_prime(n: int) -> bool:

@@ -18,7 +18,8 @@ that certifies the exact QuadRes set with that Gram, not a margin of the
 given vectors. A party whose members are in general position with room to
 spare, checked on the null space of its k x d factor matrix
 (_general_position), has largest flat d - 1 too; any other party is
-walked once (nonspanning_flats), which lists its flats. If the certificate
+walked once (nonspanning_flats), which lists its flats, or raises TooLarge
+past WALK_BUDGET tree nodes. If the certificate
 does not close, the parties not yet walked are walked too, and a
 depth-first search gives each party in turn one of its flats'
 intersections with the states still left, until the parts cover every
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, EmptyFamily, Inconclusive,
-                     NotOrthogonalSet, NotUpb, SizeMismatch)
+                     NotOrthogonalSet, NotUpb, SizeMismatch, TooLarge)
 from .families import (VectorFamily, gen_kcbs, is_unit,
                        loor_cycle_complement, one_param_family,
                        orthogonality_graph, quadres_local)
@@ -49,6 +50,7 @@ from .linalg import (DEFAULT_TOL, HERM_TOL, Tolerances, as_vector,
                      partial_transpose)
 
 SEARCH_BUDGET = 10 ** 6   # flat nodes one extension search may try
+WALK_BUDGET = 2 * 10 ** 6  # tree nodes one nonspanning_flats walk may create
 # complex elements nonspanning_flats holds at once, temporaries and ids too
 SCAN_BUDGET = 1 << 16
 METHODS = ("exact", "bound", "auto")
@@ -354,6 +356,9 @@ def nonspanning_flats(vectors, dim: int,
     The walk holds one run's children per level of the current path: at
     most r times SCAN_BUDGET complex elements, plus a lone node's children
     where they alone exceed SCAN_BUDGET.
+
+    Every child counts as a node, leaves too; once a walk has created more
+    than WALK_BUDGET of them it raises TooLarge with nodes and budget.
     """
     k = len(vectors)
     if k < dim or dim == 1:
@@ -362,6 +367,7 @@ def nonspanning_flats(vectors, dim: int,
     id_type = np.min_scalar_type(k - 1)
     id_size = id_type.itemsize / 16
     leaves = []
+    nodes = 0
 
     def node_size(depth):
         return (k - depth) * (dim - depth + 3 + id_size)
@@ -375,6 +381,7 @@ def nonspanning_flats(vectors, dim: int,
         # (level, ids, lasts) of the children of nodes at `depth`: members
         # j > last that leave room to reach depth r, in column j - depth;
         # None if there are none or they are leaves, which go to leaf()
+        nonlocal nodes
         m, coords = level.shape[1:]
         parent, cols = np.nonzero(np.arange(k - r + 1)
                                   > (lasts - depth)[:, None])
@@ -386,6 +393,10 @@ def nonspanning_flats(vectors, dim: int,
                 return None
             parent, cols, w, norms = (parent[grow], cols[grow], w[grow],
                                       norms[grow])
+        nodes += len(parent)
+        if nodes > WALK_BUDGET:
+            raise TooLarge("flat walk budget exceeded", nodes=nodes,
+                           budget=WALK_BUDGET)
         if coords == 2:    # depth r - 1
             leaf(np.take(ids, parent, axis=0),
                  _plane_leaves(level, parent, w, norms, tol.atol))

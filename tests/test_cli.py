@@ -354,6 +354,18 @@ class TestErrors:
         assert doc == {"error": "NotUpb", "details": {},
                        "message": "assigned span has no complement"}
 
+    def test_walk_budget_ends_coarse_quadres_exit_1(self, capsys):
+        # at --tol 0.2 the Gram match refuses quadres 29 (2 tol >= c), and
+        # the walk would visit about 1.45e8 nodes per party
+        code, out = run_cli(["verify-upb", "quadres", "--p", "29",
+                             "--tol", "0.2"], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert doc["error"] == "TooLarge"
+        assert doc["details"]["budget"] == upb.WALK_BUDGET
+        assert doc["details"]["nodes"] > upb.WALK_BUDGET
+
     def test_usage_error_exit_2(self, capsys):
         code = cli.run(["family", "one-param"])  # missing --theta
         assert code == 2
@@ -527,12 +539,21 @@ def _argv_id(argv):
     return "_".join(t if len(t) <= 1000 else f"{t[:5]}x{len(t)}" for t in argv)
 
 
+# alpha paley --q order -> the error it exits 1 with, or None if it answers:
+# not 1 mod 4, not a prime power, and H on (269 - 5) / 4 = 66 vertices
+PALEY_SWEEP = {3: "BadOrder", 21: "BadOrder", 73: None, 197: None,
+               269: "TooLarge"}
+PALEY_ANSWERS = [["alpha", "paley", "--q", str(q)]
+                 for q, error in PALEY_SWEEP.items() if error is None]
+
+
 def _sweep_cases():
     """Each integer parameter of each named target, and alpha/theta graph
     orders, set to -3, 0, 1 and 2 (other parameters at their smallest
     valid values); the one all-valid genpyramid call is left out. Then
-    each one-param command with an angle that overflows to inf or NaN, and
-    every command with --tol inf."""
+    alpha paley at the orders of PALEY_SWEEP, each one-param command with
+    an angle that overflows to inf or NaN, and every command with --tol
+    inf."""
     valid = {"m": 2, "t": 2}
     for name, (params, *builders) in cli.TARGETS.items():
         commands = [c for c, b in zip(("family", "verify-upb"), builders) if b]
@@ -547,6 +568,8 @@ def _sweep_cases():
         for family, flag in (("cycle", "--n"), ("paley", "--q")):
             for v in (-3, 0, 1, 2):
                 yield [command, family, flag, str(v)]
+    for q in PALEY_SWEEP:
+        yield ["alpha", "paley", "--q", str(q)]
     big = "9" * 400
     for theta in (big, f"{big}-{big}", *BAD_NUMBERS, *DEEP_ANGLES):
         for command in ("family", "verify-upb", "strength", "lee"):
@@ -575,7 +598,16 @@ def _exit_code(capsys, argv):
 
 @pytest.mark.parametrize("argv", list(_sweep_cases()), ids=_argv_id)
 def test_small_parameters_never_raise(capsys, argv):
-    assert _exit_code(capsys, argv) in (1, 2)
+    assert _exit_code(capsys, argv) in ((0,) if argv in PALEY_ANSWERS
+                                        else (1, 2))
+
+
+@pytest.mark.parametrize("q", sorted(PALEY_SWEEP))
+def test_paley_sweep_errors(capsys, q):
+    code, out = run_cli(["alpha", "paley", "--q", str(q)], capsys)
+    doc = json.loads(out)
+    assert (code, doc.get("error")) == (1 if PALEY_SWEEP[q] else 0,
+                                        PALEY_SWEEP[q])
 
 
 def _factor(*xs):

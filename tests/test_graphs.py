@@ -10,7 +10,8 @@ from ctxupb import graphs
 from ctxupb.graphs import (Graph, colored_equivalence,
                            complement, complete, cycle, edge_colored_graph,
                            galois_field, graph, independence_number, is_cycle,
-                           max_independent_set, paley, paley_relabeling,
+                           max_independent_set, paley,
+                           paley_independent_set, paley_relabeling,
                            quadratic_residues, smallest_nonresidue)
 
 
@@ -281,6 +282,61 @@ def test_search_fits_small_recursion_limit(g):
         sys.setrecursionlimit(limit)
     assert alpha == len(witness) == (64 if not g.edges else 32)
     assert witness == tuple(range(0, 64, 1 if not g.edges else 2))
+
+
+class TestLexWitness:
+    """max_independent_set against the brute-force lex-min oracle."""
+
+    def test_incumbent_is_not_lex_smallest(self):
+        # the path 1-0-3-2: the degree <= 1 rule takes 1 first, so the
+        # alpha search keeps {1, 2}; the lex-smallest set is {0, 2}
+        g = graph(4, [(1, 0), (0, 3), (3, 2)])
+        _, (alpha, known) = graphs._maximum_set(g)
+        assert (alpha, known) == (2, 0b0110)
+        assert max_independent_set(g) == brute_force_witness(g) == (2, (0, 2))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_oracle(self, n):
+        r = random.Random(n)
+        for p in (0.15, 0.3, 0.5, 0.7):
+            g = graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if r.random() < p])
+            assert max_independent_set(g) == brute_force_witness(g)
+
+
+PALEY_ORDERS = [q for q in range(5, 62, 4)
+                if q in (9, 25, 49) or graphs.is_prime(q)]
+
+
+@pytest.mark.parametrize("q", PALEY_ORDERS)
+def test_paley_reduction_matches_search(q):
+    assert paley_independent_set(q) == max_independent_set(paley(q))
+
+
+# alpha(P_q) past the 64-vertex cap: the known Paley clique numbers, and
+# sqrt(q) for q = p^2 (Blokhuis 1984)
+PALEY_ALPHA = {73: 5, 89: 5, 97: 6, 101: 5, 109: 6, 113: 7, 121: 11, 137: 7,
+               149: 7, 157: 7, 169: 13, 173: 8, 181: 7, 193: 7, 197: 8}
+
+
+@pytest.mark.parametrize("q", sorted(PALEY_ALPHA))
+def test_paley_alpha_past_cap(q):
+    g = paley(q)
+    alpha, witness = paley_independent_set(q)
+    assert alpha == len(witness) == PALEY_ALPHA[q]
+    assert list(witness) == sorted(set(witness))
+    assert not any(g.has_edge(u, v)
+                   for u, v in itertools.combinations(witness, 2))
+    # maximal: every other vertex has a neighbour in the witness
+    assert all(any(g.has_edge(u, v) for u in witness)
+               for v in range(q) if v not in witness)
+
+
+def test_paley_reduction_cap_applies_to_searched_graph():
+    assert paley_independent_set(257)[0] == 7   # H has 63 vertices
+    with pytest.raises(TooLarge) as err:
+        paley_independent_set(269)
+    assert err.value.details == {"n": 66, "budget": 64}
 
 
 class TestResidues:
