@@ -102,15 +102,19 @@ NOT_QCG = "NotQCG"
 UNKNOWN = "Unknown"
 
 
-def _closed_form_theta(g: Graph):
+def _closed_form(g: Graph):
+    """(theta, alpha) for the families with a closed-form theta, else None:
+    an odd cycle (alpha = (n - 1) / 2), its complement (alpha = 2), and a
+    Paley graph under any labels (alpha from paley_independent_set, which
+    searches (n - 5) / 4 vertices, not n)."""
     if is_cycle(g) and g.n % 2 == 1:
-        return theta_cycle_value(g.n) if g.n >= 5 else 1.0
+        return (theta_cycle_value(g.n) if g.n >= 5 else 1.0), g.n // 2
     if g.n >= 5 and g.n % 2 == 1 and is_cycle(complement(g)):
-        return theta_cycle_complement_value(g.n)
+        return theta_cycle_complement_value(g.n), 2
     if g.n % 4 == 1:
         try:
             if paley_relabeling(g) is not None:
-                return math.sqrt(g.n)
+                return math.sqrt(g.n), paley_independent_set(g.n)[0]
         except BadOrder:
             pass
     return None
@@ -119,10 +123,11 @@ def _closed_form_theta(g: Graph):
 def is_qcg(g: Graph, realized_strength: float | None = None) -> str:
     """Compare theta (closed form when available, else the supplied strength
     lower bound) against the exact independence number."""
-    alpha = independence_number(g)
-    theta = _closed_form_theta(g)
-    if theta is not None:
+    known = _closed_form(g)
+    if known is not None:
+        theta, alpha = known
         return QCG if theta > alpha + 1e-12 else NOT_QCG
+    alpha = independence_number(g)
     if realized_strength is not None and realized_strength > alpha + 1e-9:
         return QCG
     return UNKNOWN

@@ -9,11 +9,13 @@ gradient (Edelman, Arias & Smith 1998; Roethlisberger, Lehmann & Loss 2009).
 All restarts run as one batch, each with its own line search and history;
 the line search evaluates several halvings of its straggling restarts in
 one call, and each restart accepts the step sequential halving accepts.
-Each iteration moves a restart's history to the new tangent space in two
-stacked projections, one for the step history and the new step, one for the
-gradient-change history and the old and new gradients; a projection of K
-blocks multiplies by U^H and by U once, the blocks side by side, rather than
-once per block.
+A restart keeps its L-BFGS pairs as they were formed, in the ambient space
+C^{L x r}, and projects only the two-loop direction onto the tangent space
+at its current point: the projection is self-adjoint, so for a tangent
+gradient g the projected direction d = -P H g still has slope <g, d> =
+-<g, H g> < 0 (projection as vector transport, Absil, Mahony & Sepulchre
+2008, sec. 8.1; Huang, Gallivan & Absil 2015). An iteration projects two
+blocks: the direction and the new gradient.
 Every restart starts from a seeded random isometry; restart r draws from
 the counter-derived stream (seed, r), so any execution order enumerates
 identical starting points, and the draws are retracted in one batched QR.
@@ -120,19 +122,10 @@ def decomposition_value(rho, dims: tuple[int, int], d: Decomposition) -> float:
 
 
 def _tangent(U, Z):
-    """Project every block Z_k of a stack Z (R, K, L, r) onto the tangent
-    space of the Stiefel manifold at U (R, L, r): Z_k - U herm(U^H Z_k).
-    All K blocks of a restart go through one product U^H [Z_1 ... Z_K], the
-    blocks side by side as an L x K*r matrix, and one product U [H_1 ... H_K].
-    Each entry is the same sum as in a per-block product, but a BLAS kernel
-    may round it differently when r is not a multiple of its column blocking
-    (4 in OpenBLAS's Haswell zgemm).
-    """
-    R, K, L, r = Z.shape
-    side = Z.transpose(0, 2, 1, 3).reshape(R, L, K * r)
-    A = (U.conj().swapaxes(-1, -2) @ side).reshape(R, r, K, r)
-    H = (A + A.conj().transpose(0, 3, 2, 1)) / 2
-    return Z - (U @ H.reshape(R, r, K * r)).reshape(R, L, K, r).swapaxes(1, 2)
+    """Project Z (R, L, r) onto the tangent space of the Stiefel manifold
+    at U (R, L, r): Z - U herm(U^H Z), one block per restart."""
+    A = U.conj().swapaxes(-1, -2) @ Z
+    return Z - U @ ((A + A.conj().swapaxes(-1, -2)) / 2)
 
 
 def _inner(A, B):
@@ -192,27 +185,29 @@ def _roof(U, B, da: int, db: int):
     return f, (dM.reshape(R * L, da * db) @ B.conj().T).reshape(R, L, r)
 
 
-def _lbfgs_direction(g, S, Y):
-    """Two-loop recursion for -H g. S, Y hold the stored pairs, oldest
-    first; pairs without positive curvature are skipped, and the initial
-    scaling comes from the newest pair that has it (1 when none has)."""
-    sy = _inner(S, Y)
-    ok = sy > 1e-300
-    rho = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
-    ratio = sy / np.where(ok, _inner(Y, Y), 1.0)
+def _lbfgs_direction(U, g, S, Y, slots):
+    """Tangent descent direction at U: the two-loop recursion for -H g over
+    the ring slots `slots` of S, Y (LBFGS_MEMORY, R, L, r), oldest first,
+    projected onto the tangent space at U. Pairs without positive curvature
+    are skipped, and the initial scaling comes from the newest pair that has
+    it (1 when none has); with no slots the direction is -g."""
     q = g.copy()
-    alpha = np.zeros_like(rho)
     gamma = np.ones(len(g))
-    for k in range(S.shape[1]):
-        gamma = np.where(ok[:, k], ratio[:, k], gamma)
-    for k in reversed(range(S.shape[1])):
-        alpha[:, k] = rho[:, k] * _inner(S[:, k], q)
-        q -= alpha[:, k, None, None] * Y[:, k]
+    rho, alpha = {}, {}
+    for k in slots:
+        sy = _inner(S[k], Y[k])
+        ok = sy > 1e-300
+        rho[k] = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
+        gamma = np.where(ok, sy / np.where(ok, _inner(Y[k], Y[k]), 1.0),
+                         gamma)
+    for k in reversed(slots):
+        alpha[k] = rho[k] * _inner(S[k], q)
+        q -= alpha[k][:, None, None] * Y[k]
     q *= gamma[:, None, None]
-    for k in range(S.shape[1]):
-        beta = rho[:, k] * _inner(Y[:, k], q)
-        q += (alpha[:, k] - beta)[:, None, None] * S[:, k]
-    return -q
+    for k in slots:
+        beta = rho[k] * _inner(Y[k], q)
+        q += (alpha[k] - beta)[:, None, None] * S[k]
+    return _tangent(U, -q)
 
 
 def _line_search(Ua, fa, d, slope, B, da: int, db: int):
@@ -253,43 +248,47 @@ def _minimize(U, B, da: int, db: int):
     """Batched Riemannian L-BFGS over isometries U (R, L, r).
 
     Each restart takes Armijo backtracking steps (`_line_search`, several
-    halvings per call) along its own two-loop direction, retracted by
-    phase-fixed QR, and moves its history pairs to the new point by tangent
-    projection. It stops once an iteration lowers its value by less than
-    STOP_DECREASE, or after MAX_ITERATIONS. Every operation acts on each
-    restart separately, so a restart's path does not depend on the rest of
-    the batch. Returns the final isometries, values, iteration and
-    evaluation counts and converged flags.
+    halvings per call) along its own projected two-loop direction
+    (`_lbfgs_direction`), retracted by phase-fixed QR. Its pairs s = step d
+    and y = g+ - g of tangent gradients stay as formed, in a ring of
+    LBFGS_MEMORY slots indexed by iteration number: all restarts start
+    together and a stopped restart never resumes, so one slot index serves
+    the batch, and the ring keeps only the active restarts' rows. A restart
+    stops once an iteration lowers its value by less than STOP_DECREASE, or
+    after MAX_ITERATIONS. Every operation acts on each restart separately,
+    so a restart's path does not depend on the rest of the batch. Returns
+    the final isometries, values, iteration and evaluation counts and
+    converged flags.
     """
     R = U.shape[0]
     f, G = _roof(U, B, da, db)
-    g = _tangent(U, G[:, None])[:, 0]
-    S = np.zeros((R, LBFGS_MEMORY) + U.shape[1:], dtype=complex)
+    g = _tangent(U, G)
+    S = np.zeros((LBFGS_MEMORY,) + U.shape, dtype=complex)
     Y = np.zeros_like(S)
     iterations = np.zeros(R, dtype=int)
     evaluations = np.ones(R, dtype=int)
     converged = np.zeros(R, dtype=bool)
     active = np.arange(R)
-    for _ in range(MAX_ITERATIONS):
+    for it in range(MAX_ITERATIONS):
         Ua, fa, ga = U[active], f[active], g[active]
-        d = _lbfgs_direction(ga, S[active], Y[active])
+        slots = [k % LBFGS_MEMORY
+                 for k in range(max(0, it - LBFGS_MEMORY), it)]
+        d = _lbfgs_direction(Ua, ga, S, Y, slots)
         step, Un, fn, Gn, tries = _line_search(Ua, fa, d, _inner(ga, d),
                                                B, da, db)
         evaluations[active] += tries
         # a restart whose search failed has fn == fa and stops below, so its
-        # history and gradient are not used again
-        S[active] = _tangent(Un, np.concatenate(
-            [S[active, 1:], (step[:, None, None] * d)[:, None]], axis=1))
-        Z = _tangent(Un, np.concatenate(
-            [Y[active, 1:], ga[:, None], Gn[:, None]], axis=1))
-        gn = Z[:, -1]
-        Z[:, -2] = gn - Z[:, -2]
-        Y[active] = Z[:, :-1]
+        # pair and gradient are not used again
+        gn = _tangent(Un, Gn)
+        S[it % LBFGS_MEMORY] = step[:, None, None] * d
+        Y[it % LBFGS_MEMORY] = gn - ga
         U[active], f[active], g[active] = Un, fn, gn
         iterations[active] += 1
         done = (fa - fn) < STOP_DECREASE
         converged[active[done]] = True
-        active = active[~done]
+        if done.any():
+            active = active[~done]
+            S, Y = S[:, ~done], Y[:, ~done]
         if active.size == 0:
             break
     return U, f, iterations, evaluations, converged

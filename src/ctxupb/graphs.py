@@ -244,8 +244,13 @@ def paley_independent_set(q: int) -> tuple[int, tuple[int, ...]]:
     non-neighbours of 0 and n0. Those are non-squares, so all exceed n0,
     while 1 .. n0 - 1 are squares, adjacent to 0. The witness 0, n0, then
     H's lex-smallest set (H relabeled in order) is therefore the
-    lex-smallest witness of paley(q). The 64-vertex cap applies to H.
+    lex-smallest witness of paley(q). The 64-vertex cap applies to H, and
+    is checked on q before paley(q) is built.
     """
+    _paley_field(q)
+    if (q - 5) // 4 > INDEPENDENCE_BUDGET:
+        raise TooLarge("independence search budget exceeded",
+                       n=(q - 5) // 4, budget=INDEPENDENCE_BUDGET)
     adj = paley(q).adjacency_masks()
     far = ~adj[0] & ((1 << q) - 2)          # the non-squares
     n0 = (far & -far).bit_length() - 1
@@ -317,12 +322,16 @@ def galois_field(q: int) -> GaloisField:
     raise BadOrder("order must be an odd prime or the square of one", q=q)
 
 
+def _paley_field(q: int) -> GaloisField:
+    if q % 4 != 1:
+        raise BadOrder("Paley graph needs q = 1 mod 4", q=q)
+    return galois_field(q)
+
+
 def paley(q: int) -> Graph:
     """Paley graph on GF(q), q = p or p^2 with q = 1 mod 4: edges join pairs
     whose difference is a nonzero square."""
-    if q % 4 != 1:
-        raise BadOrder("Paley graph needs q = 1 mod 4", q=q)
-    gf = galois_field(q)
+    gf = _paley_field(q)
     squares = {gf.mul(x, x) for x in range(1, q)}
     edges = [(i, j) for i in range(q) for j in range(i + 1, q)
              if gf.sub(j, i) in squares]

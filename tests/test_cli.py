@@ -540,9 +540,10 @@ def _argv_id(argv):
 
 
 # alpha paley --q order -> the error it exits 1 with, or None if it answers:
-# not 1 mod 4, not a prime power, and H on (269 - 5) / 4 = 66 vertices
+# not 1 mod 4, not a prime power, and H on (269 - 5) / 4 = 66 and
+# (10009 - 5) / 4 = 2501 vertices, refused before P_q is built
 PALEY_SWEEP = {3: "BadOrder", 21: "BadOrder", 73: None, 197: None,
-               269: "TooLarge"}
+               269: "TooLarge", 10009: "TooLarge"}
 PALEY_ANSWERS = [["alpha", "paley", "--q", str(q)]
                  for q, error in PALEY_SWEEP.items() if error is None]
 

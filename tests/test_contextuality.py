@@ -158,6 +158,21 @@ class TestQcg:
         # Paley graphs are self-complementary
         assert is_qcg(complement(paley(q))) == is_qcg(paley(q))
 
+    @pytest.mark.parametrize("q", [73, 197])
+    def test_paley_past_search_cap(self, q):
+        # alpha comes from the reduction on (q - 5) / 4 vertices
+        assert is_qcg(paley(q)) == QCG
+
+    def test_relabeled_paley(self):
+        perm = np.random.default_rng(5).permutation(29)
+        moved = graph(29, [(perm[i], perm[j]) for i, j in paley(29).edges])
+        assert is_qcg(moved) == QCG
+
+    @pytest.mark.parametrize("n", [65, 101])
+    def test_odd_cycles_past_search_cap(self, n):
+        assert is_qcg(cycle(n)) == QCG
+        assert is_qcg(complement(cycle(n))) == QCG
+
     def test_unknown_without_closed_form(self):
         g = graph(4, [(0, 1), (1, 2), (2, 3)])
         assert is_qcg(g) == UNKNOWN

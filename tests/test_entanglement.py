@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ctxupb.entanglement import (ARMIJO, MAX_BACKTRACKS, TABLE1_ROWS,
-                                 Decomposition, _inner, _line_search,
+from ctxupb import entanglement
+from ctxupb.entanglement import (ARMIJO, LBFGS_MEMORY, MAX_BACKTRACKS,
+                                 TABLE1_ROWS, Decomposition, _inner,
+                                 _lbfgs_direction, _line_search,
                                  _retract, _roof, _starts, _tangent,
                                  decomposition_value, lee_upper_bound,
                                  linear_entropy, pure_lee_term, table1)
@@ -218,7 +220,7 @@ class TestRoofGradient:
             U[:, -1] = 0
         f, G = _roof(U, B, da, db)
         Z = rng.normal(size=U.shape) + 1j * rng.normal(size=U.shape)
-        xi = _tangent(U, Z[:, None])[:, 0]
+        xi = _tangent(U, Z)
         A = U.conj().swapaxes(-1, -2) @ xi        # tangent: U^H xi skew
         assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) <= 1e-12
         h = 1e-6
@@ -226,7 +228,7 @@ class TestRoofGradient:
               - _roof(U - h * xi, B, da, db)[0]) / (2 * h)
         scale = np.max(np.abs(fd)) + 1.0
         assert np.max(np.abs(fd - _inner(G, xi))) <= 1e-7 * scale
-        assert np.max(np.abs(fd - _inner(_tangent(U, G[:, None])[:, 0], xi))
+        assert np.max(np.abs(fd - _inner(_tangent(U, G), xi))
                       ) <= 1e-7 * scale
         if zero_row:
             assert np.all(G[:, -1] == 0)
@@ -270,7 +272,7 @@ class TestLineSearch:
         U = _retract(rng.normal(size=(R, L, r))
                      + 1j * rng.normal(size=(R, L, r)))
         f, G = _roof(U, B, da, db)
-        g = _tangent(U, G[:, None])[:, 0]
+        g = _tangent(U, G)
         d = -(2.0 ** rng.uniform(-4, 28, size=R))[:, None, None] * g
         slope = _inner(g, d)
         slope[15::16] = -np.inf
@@ -307,25 +309,65 @@ class TestLineSearch:
 
 
 class TestStackedProjection:
+    # a stack of K restarts' blocks in one call
     @pytest.mark.parametrize("r", [2, 4])
     @pytest.mark.parametrize("L", [5, 16])
     @pytest.mark.parametrize("K", [1, 8, 9])
     def test_matches_per_block_projection(self, rng, K, L, r):
-        U = _retract(rng.normal(size=(3, L, r))
-                     + 1j * rng.normal(size=(3, L, r)))
-        Z = (rng.normal(size=(3, K, L, r))
-             + 1j * rng.normal(size=(3, K, L, r)))
-        stacked = _tangent(U, Z)
-        per_block = np.stack([block_tangent(U, Z[:, k]) for k in range(K)],
-                             axis=1)
-        if K == 1 or r % 4 == 0:
-            # every block's columns sit where the BLAS kernel's column
-            # blocking puts them in a product of that block alone
-            assert np.array_equal(stacked, per_block)
-        else:
-            scale = np.max(np.abs(Z)) + 1.0
-            assert np.max(np.abs(stacked - per_block)) <= (
-                16 * L * np.finfo(float).eps * scale)
+        U = _retract(rng.normal(size=(K, L, r))
+                     + 1j * rng.normal(size=(K, L, r)))
+        Z = (rng.normal(size=(K, L, r))
+             + 1j * rng.normal(size=(K, L, r)))
+        P = _tangent(U, Z)
+        assert np.array_equal(P, block_tangent(U, Z))
+        for k in range(K):
+            assert np.array_equal(P[k:k + 1],
+                                  block_tangent(U[k:k + 1], Z[k:k + 1]))
+        A = U.conj().swapaxes(-1, -2) @ P          # tangent: U^H P skew
+        assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) <= 1e-12
+        assert np.max(np.abs(_tangent(U, P) - P)) <= 1e-12
+        # self-adjoint, so the L-BFGS pairs need no transport
+        W = rng.normal(size=(K, L, r)) + 1j * rng.normal(size=(K, L, r))
+        assert np.max(np.abs(_inner(P, W) - _inner(Z, _tangent(U, W)))
+                      ) <= 1e-12 * (1 + np.max(np.abs(_inner(Z, W))))
+
+
+class TestLbfgsDirection:
+    @pytest.mark.parametrize("filled", [0, 1, 5, LBFGS_MEMORY])
+    def test_projected_direction_descends(self, rng, filled):
+        R, L, r = 16, 9, 3
+        U = _retract(rng.normal(size=(R, L, r))
+                     + 1j * rng.normal(size=(R, L, r)))
+        g = _tangent(U, rng.normal(size=U.shape)
+                     + 1j * rng.normal(size=U.shape))
+        shape = (LBFGS_MEMORY,) + U.shape
+        S = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # ambient pairs, a quarter of them with negative curvature
+        sign = np.where(rng.random(shape[:2]) < 0.25, -1.0, 1.0)
+        Y = (sign[..., None, None] * S
+             + 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        assert (_inner(S, Y) < 0).any()
+        slots = [(3 + k) % LBFGS_MEMORY for k in range(filled)]
+        d = _lbfgs_direction(U, g, S, Y, slots)
+        A = U.conj().swapaxes(-1, -2) @ d
+        assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) <= 1e-12
+        assert np.all(_inner(g, d) < 0)
+        if not filled:
+            assert np.max(np.abs(d + g)) <= 1e-12
+
+    def test_two_single_block_projections_per_iteration(self, monkeypatch):
+        shapes = []
+
+        def counted(U, Z):
+            shapes.append((U.shape, Z.shape))
+            return _tangent(U, Z)
+        monkeypatch.setattr(entanglement, "_tangent", counted)
+        res = lee_upper_bound(pyramid_bes(), (3, 3), L=9, restarts=6,
+                              seed=7)
+        assert len(shapes) == 1 + 2 * max(res.iterations)
+        assert all(u == z and len(z) == 3 and z[1:] == (9, 4)
+                   for u, z in shapes)
+        assert shapes[0][0][0] == 6
 
 
 class TestStarts:

@@ -339,6 +339,18 @@ def test_paley_reduction_cap_applies_to_searched_graph():
     assert err.value.details == {"n": 66, "budget": 64}
 
 
+def test_paley_reduction_refuses_before_building(monkeypatch):
+    def unbuilt(q):
+        raise AssertionError(f"paley({q}) built")
+    monkeypatch.setattr(graphs, "paley", unbuilt)
+    with pytest.raises(TooLarge) as err:
+        paley_independent_set(1009)
+    assert err.value.details == {"n": 251, "budget": 64}
+    for q in (7, 21, 1, 25 * 25):
+        with pytest.raises(BadOrder):
+            paley_independent_set(q)
+
+
 class TestResidues:
     def test_q5(self):
         assert quadratic_residues(5) == {1, 4}
