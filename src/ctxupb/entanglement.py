@@ -10,12 +10,14 @@ All restarts run as one batch, each with its own line search and history;
 the line search evaluates several halvings of its straggling restarts in
 one call, and each restart accepts the step sequential halving accepts.
 A restart keeps its L-BFGS pairs as they were formed, in the ambient space
-C^{L x r}, and projects only the two-loop direction onto the tangent space
-at its current point: the projection is self-adjoint, so for a tangent
-gradient g the projected direction d = -P H g still has slope <g, d> =
--<g, H g> < 0 (projection as vector transport, Absil, Mahony & Sepulchre
-2008, sec. 8.1; Huang, Gallivan & Absil 2015). An iteration projects two
-blocks: the direction and the new gradient.
+C^{L x r}, flat float64 in a ring of the last LBFGS_MEMORY iterations, with
+each pair's curvature <s, y> and <y, y> computed once, when it is stored.
+Only the two-loop direction (Nocedal 1980) is projected onto the tangent
+space at the current point: the projection is self-adjoint, so for a
+tangent gradient g the projected direction d = -P H g still has slope
+<g, d> = -<g, H g> < 0 (projection as vector transport, Absil, Mahony &
+Sepulchre 2008, sec. 8.1; Huang, Gallivan & Absil 2015). An iteration
+projects two blocks: the direction and the new gradient.
 Every restart starts from a seeded random isometry; restart r draws from
 the counter-derived stream (seed, r), so any execution order enumerates
 identical starting points, and the draws are retracted in one batched QR.
@@ -185,29 +187,32 @@ def _roof(U, B, da: int, db: int):
     return f, (dM.reshape(R * L, da * db) @ B.conj().T).reshape(R, L, r)
 
 
-def _lbfgs_direction(U, g, S, Y, slots):
+def _lbfgs_direction(U, g, S, Y, rho, gam, slots):
     """Tangent descent direction at U: the two-loop recursion for -H g over
-    the ring slots `slots` of S, Y (LBFGS_MEMORY, R, L, r), oldest first,
-    projected onto the tangent space at U. Pairs without positive curvature
-    are skipped, and the initial scaling comes from the newest pair that has
-    it (1 when none has); with no slots the direction is -g."""
-    q = g.copy()
-    gamma = np.ones(len(g))
-    rho, alpha = {}, {}
-    for k in slots:
-        sy = _inner(S[k], Y[k])
-        ok = sy > 1e-300
-        rho[k] = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
-        gamma = np.where(ok, sy / np.where(ok, _inner(Y[k], Y[k]), 1.0),
+    the ring slots `slots` of the flat float64 pairs S, Y (LBFGS_MEMORY, R,
+    2 L r), oldest first, projected onto the tangent space at U. Each slot
+    carries its curvature as stored: rho (LBFGS_MEMORY, R) is 1/<s, y>, 0
+    where <s, y> is not positive, and gam the scaling <s, y>/<y, y>. Pairs
+    with rho = 0 drop out, and the initial scaling comes from the newest
+    pair with rho > 0 (1 when none has it); with no slots the direction is
+    -g."""
+    R = len(g)
+    q = g.view(float).reshape(R, -1).copy()
+    gamma = np.ones(R)
+    if slots:
+        ok = rho[slots] > 0
+        newest = len(slots) - 1 - ok[::-1].argmax(axis=0)
+        gamma = np.where(ok.any(axis=0), gam[slots][newest, np.arange(R)],
                          gamma)
+    alpha = {}
     for k in reversed(slots):
-        alpha[k] = rho[k] * _inner(S[k], q)
-        q -= alpha[k][:, None, None] * Y[k]
-    q *= gamma[:, None, None]
+        alpha[k] = rho[k] * np.einsum('ij,ij->i', S[k], q)
+        q -= alpha[k][:, None] * Y[k]
+    q *= gamma[:, None]
     for k in slots:
-        beta = rho[k] * _inner(Y[k], q)
-        q += (alpha[k] - beta)[:, None, None] * S[k]
-    return _tangent(U, -q)
+        beta = rho[k] * np.einsum('ij,ij->i', Y[k], q)
+        q += (alpha[k] - beta)[:, None] * S[k]
+    return _tangent(U, -q.view(complex).reshape(g.shape))
 
 
 def _line_search(Ua, fa, d, slope, B, da: int, db: int):
@@ -250,21 +255,25 @@ def _minimize(U, B, da: int, db: int):
     Each restart takes Armijo backtracking steps (`_line_search`, several
     halvings per call) along its own projected two-loop direction
     (`_lbfgs_direction`), retracted by phase-fixed QR. Its pairs s = step d
-    and y = g+ - g of tangent gradients stay as formed, in a ring of
-    LBFGS_MEMORY slots indexed by iteration number: all restarts start
-    together and a stopped restart never resumes, so one slot index serves
-    the batch, and the ring keeps only the active restarts' rows. A restart
-    stops once an iteration lowers its value by less than STOP_DECREASE, or
-    after MAX_ITERATIONS. Every operation acts on each restart separately,
-    so a restart's path does not depend on the rest of the batch. Returns
-    the final isometries, values, iteration and evaluation counts and
+    and y = g+ - g of tangent gradients stay as formed, flat float64 in a
+    ring of LBFGS_MEMORY slots indexed by iteration number, and each pair's
+    curvature (1/<s, y> and <s, y>/<y, y>) is computed once, when it is
+    stored. All restarts start together and a stopped restart never
+    resumes, so one slot index serves the batch, and the ring and its
+    curvatures keep only the active restarts' rows. A restart stops once
+    an iteration lowers its value by less than STOP_DECREASE, or after
+    MAX_ITERATIONS. Every operation acts on each restart separately, so a
+    restart's path does not depend on the rest of the batch. Returns the
+    final isometries, values, iteration and evaluation counts and
     converged flags.
     """
-    R = U.shape[0]
+    R, L, r = U.shape
     f, G = _roof(U, B, da, db)
     g = _tangent(U, G)
-    S = np.zeros((LBFGS_MEMORY,) + U.shape, dtype=complex)
+    S = np.zeros((LBFGS_MEMORY, R, 2 * L * r))
     Y = np.zeros_like(S)
+    rho = np.zeros((LBFGS_MEMORY, R))
+    gam = np.ones_like(rho)
     iterations = np.zeros(R, dtype=int)
     evaluations = np.ones(R, dtype=int)
     converged = np.zeros(R, dtype=bool)
@@ -273,15 +282,20 @@ def _minimize(U, B, da: int, db: int):
         Ua, fa, ga = U[active], f[active], g[active]
         slots = [k % LBFGS_MEMORY
                  for k in range(max(0, it - LBFGS_MEMORY), it)]
-        d = _lbfgs_direction(Ua, ga, S, Y, slots)
+        d = _lbfgs_direction(Ua, ga, S, Y, rho, gam, slots)
         step, Un, fn, Gn, tries = _line_search(Ua, fa, d, _inner(ga, d),
                                                B, da, db)
         evaluations[active] += tries
         # a restart whose search failed has fn == fa and stops below, so its
         # pair and gradient are not used again
         gn = _tangent(Un, Gn)
-        S[it % LBFGS_MEMORY] = step[:, None, None] * d
-        Y[it % LBFGS_MEMORY] = gn - ga
+        k = it % LBFGS_MEMORY
+        S[k] = (step[:, None, None] * d).view(float).reshape(len(d), -1)
+        Y[k] = (gn - ga).view(float).reshape(len(d), -1)
+        sy = np.einsum('ij,ij->i', S[k], Y[k])
+        ok = sy > 1e-300
+        rho[k] = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
+        gam[k] = sy / np.where(ok, np.einsum('ij,ij->i', Y[k], Y[k]), 1.0)
         U[active], f[active], g[active] = Un, fn, gn
         iterations[active] += 1
         done = (fa - fn) < STOP_DECREASE
@@ -289,6 +303,7 @@ def _minimize(U, B, da: int, db: int):
         if done.any():
             active = active[~done]
             S, Y = S[:, ~done], Y[:, ~done]
+            rho, gam = rho[:, ~done], gam[:, ~done]
         if active.size == 0:
             break
     return U, f, iterations, evaluations, converged

@@ -30,6 +30,11 @@ def pyramid_bes():
     return bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
 
 
+def one_param_bes(theta):
+    ps = one_param_upb(theta)
+    return bound_entangled_state(ps, verify_upb(ps, method="exact")).matrix
+
+
 def max_entangled(d):
     psi = sum(np.kron(e(d, i), e(d, i)) for i in range(d)) / math.sqrt(d)
     return psi
@@ -189,6 +194,55 @@ class TestLeeUpperBound:
             assert "iterations" not in full.to_json()
             assert "evaluations" not in full.to_json()
 
+    # each restart's seeded work and final value, bit for bit, at L = 5,
+    # 8 restarts, seed 7
+    PINNED = {
+        "pyramid": (
+            (15, 13, 36, 16, 13, 46, 17, 14),
+            (22, 17, 51, 21, 16, 65, 31, 17),
+            ("0x1.2acc969c177fep-4", "0x1.2acc969c14878p-4",
+             "0x1.2acc969c1b8acp-4", "0x1.2acc969c11aaap-4",
+             "0x1.2acc969c59c90p-4", "0x1.2acc969c119c6p-4",
+             "0x1.2acc969c1338cp-4", "0x1.2acc969c17476p-4")),
+        "pi/12": (
+            (25, 16, 17, 19, 20, 22, 24, 24),
+            (32, 20, 21, 23, 24, 28, 31, 32),
+            ("0x1.2b9c0c1e44100p-12", "0x1.2b9c12393ad00p-12",
+             "0x1.2b9c0c4a4d800p-12", "0x1.2b9c0d777d820p-12",
+             "0x1.2b9c0c76ee780p-12", "0x1.2b9c0c2e3b0fap-12",
+             "0x1.2b9c0e38ce9a8p-12", "0x1.2b9c1150a5400p-12")),
+    }
+
+    @pytest.mark.parametrize("state", sorted(PINNED))
+    def test_seeded_work_pinned(self, state):
+        rho = pyramid_bes() if state == "pyramid" else one_param_bes(
+            math.pi / 12)
+        res = lee_upper_bound(rho, (3, 3), L=5, restarts=8, seed=7)
+        iterations, evaluations, values = self.PINNED[state]
+        assert res.iterations == iterations
+        assert res.evaluations == evaluations
+        assert tuple(v.hex() for v in res.restart_values) == values
+
+    @pytest.mark.parametrize("L", [5, 4])
+    def test_iteration_cap(self, monkeypatch, L):
+        # L = 4 is the state's rank, so U is square
+        monkeypatch.setattr(entanglement, "MAX_ITERATIONS", 3)
+        lam, E = np.linalg.eigh(pyramid_bes())
+        keep = lam > entanglement.EIG_FLOOR
+        B = (np.sqrt(lam[keep])[:, None] * E[:, keep].T).astype(complex)
+        assert len(B) == 4
+        U, f, iterations, evaluations, converged = entanglement._minimize(
+            _starts(7, 16, L, 4), B, 3, 3)
+        assert (~converged).sum() >= 8
+        assert np.all(iterations[~converged] == 3)
+        assert np.all(iterations <= 3)
+        assert np.all(evaluations >= iterations + 1)
+        assert np.max(np.abs(U.conj().swapaxes(-1, -2) @ U - np.eye(4))
+                      ) <= 1e-12
+        assert np.array_equal(f, _roof(U, B, 3, 3)[0])
+        for i in range(len(U)):
+            assert f[i] == _roof(U[i:i + 1], B, 3, 3)[0][0]
+
     def test_single_restart_reaches_full_l_optimum(self):
         # restart 0 is a seeded random isometry like the others, so one
         # restart at L = 16 finds the optimum, not the L = r = 4 value
@@ -332,23 +386,86 @@ class TestStackedProjection:
                       ) <= 1e-12 * (1 + np.max(np.abs(_inner(Z, W))))
 
 
+def reference_direction(U, g, S, Y, slots):
+    """The two-loop over complex pairs S, Y (LBFGS_MEMORY, R, L, r) that
+    recomputes each pair's <s, y> and <y, y> on every call."""
+    q = g.copy()
+    gamma = np.ones(len(g))
+    rho, alpha = {}, {}
+    for k in slots:
+        sy = _inner(S[k], Y[k])
+        ok = sy > 1e-300
+        rho[k] = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
+        gamma = np.where(ok, sy / np.where(ok, _inner(Y[k], Y[k]), 1.0),
+                         gamma)
+    for k in reversed(slots):
+        alpha[k] = rho[k] * _inner(S[k], q)
+        q -= alpha[k][:, None, None] * Y[k]
+    q *= gamma[:, None, None]
+    for k in slots:
+        beta = rho[k] * _inner(Y[k], q)
+        q += (alpha[k] - beta)[:, None, None] * S[k]
+    return _tangent(U, -q)
+
+
+def ring_with_cache(S, Y):
+    """Flat float64 rings (LBFGS_MEMORY, R, 2 L r) of the complex pairs S, Y
+    and their cached curvature: rho = 1/<s, y> (0 unless <s, y> > 0) and
+    the scaling <s, y>/<y, y>."""
+    sy, yy = _inner(S, Y), _inner(Y, Y)
+    ok = sy > 1e-300
+    rho = np.where(ok, 1 / np.where(ok, sy, 1.0), 0.0)
+    gam = sy / np.where(ok, yy, 1.0)
+    flat = S.shape[:2] + (-1,)
+    return S.view(float).reshape(flat), Y.view(float).reshape(flat), rho, gam
+
+
 class TestLbfgsDirection:
-    @pytest.mark.parametrize("filled", [0, 1, 5, LBFGS_MEMORY])
-    def test_projected_direction_descends(self, rng, filled):
-        R, L, r = 16, 9, 3
+    @staticmethod
+    def problem(rng, R=16, L=9, r=3):
+        """A random point, tangent gradient and ambient pairs, a quarter of
+        them with negative curvature."""
         U = _retract(rng.normal(size=(R, L, r))
                      + 1j * rng.normal(size=(R, L, r)))
         g = _tangent(U, rng.normal(size=U.shape)
                      + 1j * rng.normal(size=U.shape))
         shape = (LBFGS_MEMORY,) + U.shape
         S = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        # ambient pairs, a quarter of them with negative curvature
         sign = np.where(rng.random(shape[:2]) < 0.25, -1.0, 1.0)
         Y = (sign[..., None, None] * S
              + 0.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+        return U, g, S, Y
+
+    @pytest.mark.parametrize("start", [0, 3])
+    @pytest.mark.parametrize("filled", [0, 1, 2, 5, LBFGS_MEMORY])
+    def test_cached_matches_recomputed(self, rng, filled, start):
+        U, g, S, Y = self.problem(rng)
+        slots = [(start + k) % LBFGS_MEMORY for k in range(filled)]
+        if filled >= 2:
+            newest, older = slots[-1], slots[:-1]
+            S[newest, 0] = -Y[newest, 0]          # newest negative only
+            S[older, 0] = Y[older, 0]
+            S[slots, 1] = -Y[slots, 1]            # no positive pair
+            S[slots[filled // 2], 2] = 0          # exactly zero pair
+            Y[slots[filled // 2], 2] = 0
+        Sf, Yf, rho, gam = ring_with_cache(S, Y)
+        if filled >= 2:
+            assert rho[newest, 0] == 0 and np.all(rho[older, 0] > 0)
+            assert np.all(rho[slots, 1] == 0)
+            assert rho[slots[filled // 2], 2] == 0
+        if filled == LBFGS_MEMORY:
+            assert (rho[:, 3:] == 0).any() and (rho[:, 3:] > 0).any()
+        d = _lbfgs_direction(U, g, Sf, Yf, rho, gam, slots)
+        want = reference_direction(U, g, S, Y, slots)
+        assert d.shape == want.shape and d.dtype == want.dtype
+        assert d.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("filled", [0, 1, 5, LBFGS_MEMORY])
+    def test_projected_direction_descends(self, rng, filled):
+        U, g, S, Y = self.problem(rng)
         assert (_inner(S, Y) < 0).any()
         slots = [(3 + k) % LBFGS_MEMORY for k in range(filled)]
-        d = _lbfgs_direction(U, g, S, Y, slots)
+        d = _lbfgs_direction(U, g, *ring_with_cache(S, Y), slots)
         A = U.conj().swapaxes(-1, -2) @ d
         assert np.max(np.abs(A + A.conj().swapaxes(-1, -2))) <= 1e-12
         assert np.all(_inner(g, d) < 0)
