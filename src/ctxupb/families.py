@@ -84,10 +84,12 @@ class VectorFamily:
     @staticmethod
     def from_json(obj: dict) -> "VectorFamily":
         dim = obj["dim"]
+        label, params = obj.get("label", "custom"), obj.get("params", {})
         if not is_int(dim):
             raise ValueError(f"dimension must be an integer, not {dim!r}")
-        return _fam(str(obj.get("label", "custom")),
-                    dict(obj.get("params", {})), dim,
+        if not isinstance(label, str) or not isinstance(params, dict):
+            raise ValueError("label must be a string and params an object")
+        return _fam(label, dict(params), dim,
                     [[complex(re, im) for re, im in v] for v in obj["vectors"]])
 
 

@@ -560,18 +560,18 @@ def _flat_search(flats, k: int):
 
 
 def _complement(vectors, dim: int, tol: float) -> np.ndarray:
-    """First standard-basis vector that survives ordered orthonormalization
-    against the vectors, which must not span C^dim."""
-    basis = []
-    for i, w in enumerate([*vectors, *np.eye(dim, dtype=complex)]):
-        for b in basis:
-            w = w - np.vdot(b, w) * b
-        n = np.linalg.norm(w)
-        if n > tol:
-            if i >= len(vectors):
-                return w / n
-            basis.append(w / n)
-    raise NotUpb("assigned span has no complement")
+    """Unit vector orthogonal to the vectors: the first standard-basis
+    vector with a component above tol in their null space at tol (the right
+    singular vectors whose singular values are at most tol, at least one),
+    projected there."""
+    m = np.asarray(vectors, dtype=complex).reshape(-1, dim).conj()
+    _, s, vh = np.linalg.svd(m)
+    null = vh[min(int(np.sum(s > tol)), dim - 1):].conj().T
+    norms = np.linalg.norm(null, axis=1)
+    hits = np.flatnonzero(norms > tol)
+    if not hits.size:
+        raise NotUpb("assigned span has no complement")
+    return null @ null[hits[0]].conj() / norms[hits[0]]
 
 
 def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
@@ -589,9 +589,9 @@ def verify_upb(ps: ProductSet, tol: Tolerances = DEFAULT_TOL,
     "bound". Otherwise "bound" raises Inconclusive, while "exact" and
     "auto" walk the parties not yet walked and search every party's flats
     (_flat_search). A cover gives Extendible: each party's
-    witness factor is the first standard-basis vector left by ordered
-    orthonormalization against the factors it took, checked against every
-    member. No cover gives UPB/CompleteBasis, and SEARCH_BUDGET flat nodes
+    witness factor comes from the null space at atol of the factors it
+    took (_complement) and is checked against every member. No cover gives
+    UPB/CompleteBasis, and SEARCH_BUDGET flat nodes
     without an answer raise Inconclusive.
     """
     if method not in METHODS:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from ctxupb import cli, graphs, jsonio, upb
+from ctxupb.expr import parse_angle
 from ctxupb.families import one_param_family
 from ctxupb.linalg import Tolerances
 
-from conftest import qubit_basis, random_unitary
+from conftest import qubit_basis, random_unitary, witness_overlap
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "schemas")
 
@@ -35,6 +36,12 @@ def run_json(argv, capsys, schema=None):
     if schema:
         jsonschema.validate(doc["result"], load_schema(schema))
     return doc
+
+
+def printed_witness(doc):
+    """The witness factors of a verify-upb envelope as complex arrays."""
+    return [np.array([complex(*z) for z in f])
+            for f in doc["result"]["witness"]]
 
 
 class TestCommands:
@@ -343,16 +350,25 @@ class TestErrors:
         jsonschema.validate(doc, load_schema("error"))
         assert doc["error"] == "OutOfMemory"
 
-    @pytest.mark.parametrize("tol", ["0.5", "1"])
+    @pytest.mark.parametrize("tol", ["1"])
     def test_coarse_tol_leaves_no_complement_exit_1(self, capsys, tol):
-        # so coarse a tolerance finds an extension whose parts leave no
-        # standard-basis vector a residual above it
+        # so coarse a tolerance finds an extension, but no standard-basis
+        # vector has a component above it in any subspace
         code, out = run_cli(["verify-upb", "--tol", tol, "pyramid"], capsys)
         assert code == 1
         doc = json.loads(out)
         jsonschema.validate(doc, load_schema("error"))
         assert doc == {"error": "NotUpb", "details": {},
                        "message": "assigned span has no complement"}
+
+    def test_coarse_tol_extension_within_tol(self, capsys):
+        # at --tol 0.5 the flats cover the pyramid set, and the witness from
+        # their null spaces is orthogonal to every member within 0.5
+        doc = run_json(["verify-upb", "--tol", "0.5", "pyramid"], capsys,
+                       schema="upb_verdict")
+        assert doc["result"]["status"] == "Extendible"
+        ps = cli.TARGETS["pyramid"][2]()
+        assert witness_overlap(ps, printed_witness(doc)) <= 0.5
 
     def test_walk_budget_ends_coarse_quadres_exit_1(self, capsys):
         # at --tol 0.2 the Gram match refuses quadres 29 (2 tol >= c), and
@@ -497,6 +513,37 @@ class TestErrors:
         assert code == 1
         doc = json.loads(out)
         assert doc["error"] == "DegenerateParameter"
+
+
+# angles below about sqrt(atol) from 0 or pi, where a2 lies within atol of
+# span(a1, a3): the flats cover the set, so it is extendible within atol
+NEAR_DEGENERATE = ["0.00003", "pi-0.00001", "0.000001", "pi-0.000003"]
+
+
+class TestNearDegenerateTheta:
+    @pytest.mark.parametrize("method", ["auto", "exact"])
+    @pytest.mark.parametrize("theta", NEAR_DEGENERATE)
+    def test_extendible_with_checked_witness(self, capsys, theta, method):
+        doc = run_json(["verify-upb", "one-param", "--theta", theta,
+                        "--method", method], capsys, schema="upb_verdict")
+        assert doc["result"]["status"] == "Extendible"
+        ps = upb.one_param_upb(parse_angle(theta))
+        assert witness_overlap(ps, printed_witness(doc)) <= 1e-9
+
+    @pytest.mark.parametrize("command", ["bes", "lee"])
+    @pytest.mark.parametrize("theta", NEAR_DEGENERATE[:2])
+    def test_bes_and_lee_refuse_extendible(self, capsys, theta, command):
+        code, out = run_cli([command, "one-param", "--theta", theta], capsys)
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("error"))
+        assert (code, doc["error"], doc["details"]) == (
+            1, "NotUpb", {"status": "Extendible"})
+
+    def test_farther_angle_stays_certified(self, capsys):
+        doc = run_json(["verify-upb", "one-param", "--theta", "0.0001"],
+                       capsys, schema="upb_verdict")
+        assert doc["result"]["status"] == "CertifiedUnextendible"
+        assert doc["result"]["certificate"] == [2, 2]
 
 
 class TestCsvFormats:
@@ -745,6 +792,8 @@ EDGE_FAMILIES = {   # --in families at the edges of the input domain
     "dim-0": {"label": "x", "params": {}, "dim": 0, "vectors": []},
     "dim-2.7": {**_family("frac", (1, 0), (0, 1)), "dim": 2.7},
     "dim-2.0": {**_family("frac", (1, 0), (0, 1)), "dim": 2.0},
+    "label-list": {**_family("x", (1, 0), (0, 1)), "label": [1]},
+    "params-list": {**_family("x", (1, 0), (0, 1)), "params": [[1, 2]]},
 }
 
 
@@ -789,6 +838,16 @@ def test_non_integer_family_dim_is_usage_error(capsys, tmp_path, name,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "dimension must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("name", ["label-list", "params-list"])
+@pytest.mark.parametrize("command", ["family", "graph", "strength"])
+def test_non_string_label_or_list_params_is_usage_error(capsys, tmp_path,
+                                                        name, command):
+    assert cli.run(_family_argv(tmp_path, name, command)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "label must be a string and params an object" in captured.err
 
 
 @pytest.mark.parametrize("name,dim", [("dim-minus-5", -5), ("dim-0", 0)])
