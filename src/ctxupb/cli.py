@@ -462,8 +462,11 @@ def run(argv) -> int:
         else:
             text = _to_pretty({"command": a.command, "result": result})
         if a.out:
-            with open(a.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(a.out, "w") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise UsageError(f"cannot write {a.out}: {e.strerror}") from None
         else:
             sys.stdout.write(text)
         return 0

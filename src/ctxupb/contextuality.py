@@ -10,7 +10,6 @@ honest Unknown verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +19,12 @@ from .graphs import (Graph, complement, galois_field,
                      independence_number, is_cycle, paley_independent_set,
                      paley_relabeling)
 from .linalg import as_vector, hermitian_eig
+from .record import Record
 
 TABLE2_ORDERS = (5, 9, 13, 17, 25, 29)
 
 
-@dataclass(frozen=True)
-class StrengthReport:
+class StrengthReport(Record):
     value: float
     handle: np.ndarray
     label: str
@@ -38,8 +37,7 @@ class StrengthReport:
         }
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(Record):
     family: str     # cycle | cycle-complement | paley
     parameter: int
     value: float

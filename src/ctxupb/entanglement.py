@@ -27,12 +27,12 @@ The reported value is an upper bound on the true convex roof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BadDecomposition, BadSize, DimensionMismatch
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, as_vector, partial_trace
+from .record import Record, field
 
 EIG_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-12
@@ -54,8 +54,7 @@ TABLE1_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     weights: tuple
     states: tuple  # unit vectors in dim dA*dB
 
@@ -75,8 +74,7 @@ class Decomposition:
         }
 
 
-@dataclass(frozen=True)
-class LeeResult:
+class LeeResult(Record):
     value: float
     best: Decomposition
     restarts_used: int

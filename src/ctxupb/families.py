@@ -15,7 +15,6 @@ its graphs with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .graphs import (Graph, colored_equivalence, graph, is_prime,
                      quadratic_residues)
 from .jsonio import is_int
 from .linalg import DEFAULT_TOL, Tolerances, as_vector
+from .record import Record
 
 UNIT_TOL = 1e-9   # largest | |v| - 1 | of a unit vector
 
@@ -47,13 +47,12 @@ def theta_cycle_complement_value(n: int) -> float:
     return (1 + c) / c
 
 
-@dataclass(frozen=True)
-class VectorFamily:
+class VectorFamily(Record):
     label: str
     params: dict
     dim: int
     vectors: tuple
-    notes: tuple = field(default=())
+    notes: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -251,8 +250,7 @@ def orthogonality_graph(vectors, tol: Tolerances = DEFAULT_TOL) -> Graph:
     return graph(len(vecs), zip(i.tolist(), j.tolist()))
 
 
-@dataclass(frozen=True)
-class LoorReport:
+class LoorReport(Record):
     graph_match: bool
     max_norm_dev: float
     strength: float

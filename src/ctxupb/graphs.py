@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .errors import BadOrder, NotPrime, SizeMismatch, TooLarge
 from .jsonio import is_int
+from .record import Record
 
 INDEPENDENCE_BUDGET = 64
 RELABEL_BUDGET = 10 ** 5   # candidates colored_equivalence may try
@@ -46,8 +46,7 @@ def _adjacency_masks(n: int, edges) -> list[int]:
     return adj
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     n: int
     edges: frozenset
 
@@ -284,15 +283,14 @@ def smallest_nonresidue(p: int) -> int:
     return min(x for x in range(2, p) if x not in q)
 
 
-@dataclass(frozen=True)
-class GaloisField:
+class GaloisField(Record):
     """GF(p) or GF(p^2) with reduction polynomial x^2 - s (s the smallest
     non-square mod p). Elements are encoded as integers a + b*p with
     a, b in 0..p-1 representing a + b*x."""
 
     p: int
     degree: int
-    s: int = field(default=0)
+    s: int = 0
 
     @property
     def order(self) -> int:
@@ -348,8 +346,7 @@ def paley_relabeling(g: Graph):
         return None
 
 
-@dataclass(frozen=True)
-class EdgeColoredGraph:
+class EdgeColoredGraph(Record):
     """Complete orthogonality structure of a product set: each present edge
     maps to the nonempty set of parties realizing it."""
 

@@ -18,17 +18,16 @@ less than STOP_DECREASE (1e-10, absolute).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitian
+from .record import Record
 
 HERM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(Record):
     """The one threshold, atol: positive and finite, or ValueError."""
 
     atol: float = 1e-9

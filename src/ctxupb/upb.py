@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .jsonio import is_int
 from .linalg import (DEFAULT_TOL, HERM_TOL, Tolerances, as_vector,
                      check_hermitian, hermitian_eig, kron_all,
                      partial_transpose)
+from .record import Record, field
 
 SEARCH_BUDGET = 10 ** 6   # flat nodes one extension search may try
 WALK_BUDGET = 2 * 10 ** 6  # tree nodes one nonspanning_flats walk may create
@@ -61,8 +61,7 @@ STATUS_EXTENDIBLE = "Extendible"
 STATUS_CERTIFIED = "CertifiedUnextendible"
 
 
-@dataclass(frozen=True)
-class ProductSet:
+class ProductSet(Record):
     party_dims: tuple
     states: tuple  # each state: tuple of per-party unit vectors
 
@@ -134,8 +133,7 @@ def product_set(party_dims, states) -> ProductSet:
                             for st in states))
 
 
-@dataclass(frozen=True)
-class UpbVerdict:
+class UpbVerdict(Record):
     status: str
     condition1: bool
     witness: tuple | None = None       # product factors of the extension
@@ -158,8 +156,7 @@ class UpbVerdict:
         return out
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     matrix: np.ndarray
     party_dims: tuple
 

@@ -165,6 +165,17 @@ class TestCommands:
         doc = json.loads(path.read_text())
         assert abs(doc["result"]["value"] - math.sqrt(5)) <= 1e-12
 
+    @pytest.mark.parametrize("where, reason", [
+        ("no/such/dir/x.json", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_out_unwritable_usage_error(self, capsys, tmp_path, where, reason):
+        path = tmp_path / where
+        code = cli.run(["table2", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"usage error: cannot write {path}: {reason}\n"
+
 
 # parameter values for every named target that takes parameters
 TARGET_PARAMS = {"one-param": {"theta": "pi/3"}, "genpyramid": {"m": 4, "t": 3},
