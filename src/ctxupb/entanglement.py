@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BadDecomposition, BadSize, DimensionMismatch
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, as_vector, partial_trace
-from .record import Record, field
+from .record import Record, hidden
 
 EIG_FLOOR = 1e-12
 WEIGHT_FLOOR = 1e-12
@@ -82,9 +82,9 @@ class LeeResult(Record):
     seed: int
     # per restart, in restart order: final value, L-BFGS iterations run and
     # roof evaluations of sequential halving (the start, then the trial steps)
-    restart_values: tuple = field(default=(), repr=False, compare=False)
-    iterations: tuple = field(default=(), repr=False, compare=False)
-    evaluations: tuple = field(default=(), repr=False, compare=False)
+    restart_values: tuple = hidden(())
+    iterations: tuple = hidden(())
+    evaluations: tuple = hidden(())
 
     def to_json(self) -> dict:
         return {"value": self.value, "restarts_used": self.restarts_used,

@@ -1,5 +1,5 @@
 """Record, the frozen base of the package's value classes. A subclass lists
-its fields as annotations, each with an optional plain default or field(),
+its fields as annotations, each with an optional plain default or hidden(),
 and behaves like a dataclass(frozen=True) class; the methods are the ones
 below, written once for every class, so defining a class generates no code.
 """
@@ -13,32 +13,33 @@ _EMPTY = inspect.Parameter.empty
 _setattr = object.__setattr__
 
 
-class field:
-    """A field's default, and whether repr and ==/hash read it."""
+class hidden:
+    """The default of a diagnostic field, which repr, == and hash skip."""
 
-    def __init__(self, default=_EMPTY, repr=True, compare=True):
-        self.default, self.repr, self.compare = default, repr, compare
+    def __init__(self, default):
+        self.default = default
 
 
 class Record:
     def __init_subclass__(cls):
-        table = {}
+        table, shown = {}, []
         for name in inspect.get_annotations(cls):
-            f = vars(cls).get(name, _EMPTY)
-            table[name] = f if isinstance(f, field) else field(f)
-            if table[name].default is not _EMPTY:
-                setattr(cls, name, table[name].default)
+            d = vars(cls).get(name, _EMPTY)
+            if isinstance(d, hidden):
+                d = d.default
+                setattr(cls, name, d)   # the class attribute, as in a dataclass
+            else:
+                shown.append(name)
+            table[name] = d
         # ValueError if a field without a default follows one with a default,
         # so the defaults are a tail of _fields
         cls.__signature__ = inspect.Signature(
             [inspect.Parameter(n, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                               default=f.default) for n, f in table.items()])
+                               default=d) for n, d in table.items()])
         cls._fields = tuple(table)
-        cls._defaults = tuple(f.default for f in table.values()
-                              if f.default is not _EMPTY)
+        cls._defaults = tuple(d for d in table.values() if d is not _EMPTY)
         cls._required = len(table) - len(cls._defaults)
-        cls._repr = tuple(n for n, f in table.items() if f.repr)
-        cls._compare = tuple(n for n, f in table.items() if f.compare)
+        cls._shown = tuple(shown)   # the fields repr, == and hash read
 
     def __init__(self, *args, **kwargs):
         if not kwargs and self._required <= len(args) <= len(self._fields):
@@ -57,7 +58,7 @@ class Record:
         pass
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, n) for n in self._compare])
+        return tuple([getattr(self, n) for n in self._shown])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -68,7 +69,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._repr)
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._shown)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):

@@ -47,7 +47,7 @@ from .jsonio import is_int
 from .linalg import (DEFAULT_TOL, HERM_TOL, Tolerances, as_vector,
                      check_hermitian, hermitian_eig, kron_all,
                      partial_transpose)
-from .record import Record, field
+from .record import Record, hidden
 
 SEARCH_BUDGET = 10 ** 6   # flat nodes one extension search may try
 WALK_BUDGET = 2 * 10 ** 6  # tree nodes one nonspanning_flats walk may create
@@ -142,9 +142,8 @@ class UpbVerdict(Record):
     # built by the condition-1 check, and per party the check that found its
     # largest flat ("gram", "general-position" or "walk") with the Gram
     # distance of a "gram" match (None otherwise)
-    colored_graph: EdgeColoredGraph | None = field(default=None, repr=False,
-                                                   compare=False)
-    checks: tuple = field(default=(), repr=False, compare=False)
+    colored_graph: EdgeColoredGraph | None = hidden(None)
+    checks: tuple = hidden(())
 
     def to_json(self) -> dict:
         out = {"status": self.status, "condition1": self.condition1}
